@@ -33,7 +33,7 @@ def table():
         np.int64
     )
     lengths = np.ones(N_ENTRIES, dtype=np.int64)
-    table.add_singleton_entries(keys, b"x" * N_ENTRIES, lengths)
+    table.add_entries(keys, lengths, b"x" * N_ENTRIES, lengths)
     table.finalize()
     return table
 

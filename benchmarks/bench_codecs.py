@@ -32,7 +32,6 @@ from repro.arrays import coords as C
 from repro.bench.report import ResultTable
 from repro.ops.convolution import dilate_coords
 from repro.storage import codecs
-from repro.storage import serialize as ser
 
 from conftest import ASTRO_SHAPE, GENOMICS_SCALE
 
@@ -132,7 +131,7 @@ def size_report(workloads):
         raw = _forced_bytes(codecs.RAW, entries)
         delta = _forced_bytes(codecs.DELTA, entries)
         interval = _forced_bytes(codecs.INTERVAL, entries)
-        selected = sum(ser.int_array_nbytes(arr) for arr in entries)
+        selected = sum(codecs.cells_nbytes(arr) for arr in entries)
         report[name] = {
             "raw": raw, "delta": delta, "interval": interval, "selected": selected
         }
@@ -213,7 +212,7 @@ def _backward_query(table, query_coords, query_sorted) -> int:
     for entry_id in table.candidate_entries(query_coords):
         keys = table.entry_keys(int(entry_id))
         if C.isin_sorted(keys, query_sorted).any():
-            values, _ = ser.decode_int_array(table.entry_value(int(entry_id)))
+            values, _ = codecs.decode_cells(table.entry_value(int(entry_id)))
             total += values.size
     return total
 
@@ -263,7 +262,7 @@ def test_forward_scan_insitu_vs_decode(benchmark, encoded, workload):
     def scan_decode():
         hits = 0
         for buf in bufs:
-            values, _ = ser.decode_int_array(buf)
+            values, _ = codecs.decode_cells(buf)
             if C.isin_sorted(values, query).any():
                 hits += 1
         return hits

@@ -33,8 +33,8 @@ from repro.bench.report import ResultTable, write_bench_json
 from repro.core.catalog import StoreCatalog
 from repro.core.costmodel import CostModel
 from repro.core.lineage_store import make_store
-from repro.core.model import BufferSink, ElementwiseBatch
 from repro.core.stats import StatsCollector
+from repro.ops.base import LineageContext
 from repro.serving.maintenance import MaintenanceWorker
 
 from conftest import FULL
@@ -49,11 +49,11 @@ KEY = ("n", FULL_MANY_B)
 def _store(seed: int, n: int):
     rng = np.random.default_rng(seed)
     store = make_store("n", FULL_MANY_B, SHAPE, (SHAPE,))
-    sink = BufferSink()
+    ctx = LineageContext(frozenset())
     outs = rng.integers(0, SHAPE[0], size=(n, 2))
     ins = rng.integers(0, SHAPE[0], size=(n, 2))
-    sink.add_elementwise(ElementwiseBatch(outcells=outs, incells=(ins,)))
-    store.ingest(sink)
+    ctx.lwrite_elementwise(outs, ins)
+    store.ingest(ctx.sink)
     store.finalize_if_possible()
     return store
 
@@ -301,10 +301,10 @@ def _owner_store(lo: int, hi: int):
     disjoint ranges give every generation a distinct zone-map footprint."""
     packed = np.arange(lo, hi, dtype=np.int64)
     outs = np.stack(np.unravel_index(packed, SHAPE), axis=1)
-    sink = BufferSink()
-    sink.add_elementwise(ElementwiseBatch(outcells=outs, incells=(outs.copy(),)))
+    ctx = LineageContext(frozenset())
+    ctx.lwrite_elementwise(outs, outs.copy())
     store = make_store("n", FULL_MANY_B, SHAPE, (SHAPE,))
-    store.ingest(sink)
+    store.ingest(ctx.sink)
     store.finalize_if_possible()
     return store
 

@@ -33,7 +33,7 @@ from repro import FULL_ONE_B
 from repro.bench.report import ResultTable, write_bench_json
 from repro.core.catalog import StoreCatalog
 from repro.core.lineage_store import make_store
-from repro.core.model import BufferSink, ElementwiseBatch
+from repro.ops.base import LineageContext
 from repro.storage.partition import PartitionedCatalog
 
 from conftest import FULL
@@ -49,11 +49,11 @@ N_QUERY = 64
 def _store(node: str, seed: int, n: int = N_ENTRIES):
     rng = np.random.default_rng(seed)
     store = make_store(node, STRATEGY, SHAPE, (SHAPE,))
-    sink = BufferSink()
+    ctx = LineageContext(frozenset())
     outs = rng.integers(0, SHAPE[0], size=(n, 2))
     ins = rng.integers(0, SHAPE[0], size=(n, 2))
-    sink.add_elementwise(ElementwiseBatch(outcells=outs, incells=(ins,)))
-    store.ingest(sink)
+    ctx.lwrite_elementwise(outs, ins)
+    store.ingest(ctx.sink)
     store.finalize_if_possible()
     return store
 

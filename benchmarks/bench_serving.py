@@ -481,15 +481,15 @@ def test_shard_equivalence_spot_check(benchmark):
     """Belt-and-braces: one synthetic store, monolith vs 1-section-per-shard
     flush, identical matched + mismatched answers (the exhaustive version is
     the Hypothesis property in tests/test_serving.py)."""
-    from repro.core.model import BufferSink, ElementwiseBatch
+    from repro.ops.base import LineageContext
 
     shape = (64, 64)
     rng = np.random.default_rng(3)
     store = make_store("n", FULL_MANY_B, shape, (shape,))
-    sink = BufferSink()
+    ctx = LineageContext(frozenset())
     cells = rng.integers(0, 64, size=(4096, 2))
-    sink.add_elementwise(ElementwiseBatch(outcells=cells, incells=(cells[::-1].copy(),)))
-    store.ingest(sink)
+    ctx.lwrite_elementwise(cells, cells[::-1].copy())
+    store.ingest(ctx.sink)
 
     def run():
         import tempfile

@@ -42,7 +42,7 @@ from repro.core import (
     LineageQuery,
     Orientation,
     QueryStep,
-    RegionPair,
+    RegionBatch,
     StorageStrategy,
 )
 from repro.core.costmodel import CostConstants, CostModel
@@ -98,7 +98,7 @@ __all__ = [
     "LineageContext",
     "ops",
     # lineage model
-    "RegionPair",
+    "RegionBatch",
     "Frontier",
     "LineageQuery",
     "QueryStep",

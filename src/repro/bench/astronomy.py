@@ -36,7 +36,7 @@ from repro.ops import (
 )
 from repro.ops.base import Operator
 from repro.ops.convolution import dilate_coords
-from repro.storage import serialize as ser
+from repro.storage import codecs
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = [
@@ -425,7 +425,7 @@ class StarDetect(Operator):
             corners = C.pack_coords(np.stack([lo, hi]), self.output_shape)
             return bytes([self._TAG_BOX]) + corners.astype("<i8").tobytes()
         packed = np.sort(C.pack_coords(cells, self.output_shape))
-        return bytes([self._TAG_CELLS]) + ser.encode_int_array(packed)
+        return bytes([self._TAG_CELLS]) + codecs.encode_cells(packed)
 
     def map_b_many(self, out_coords, input_idx):
         return C.as_coord_array(out_coords, ndim=2)
@@ -444,7 +444,7 @@ class StarDetect(Operator):
                 indexing="ij",
             )
             return np.stack([g.ravel() for g in grids], axis=1)
-        packed, _ = ser.decode_int_array(payload, 1)
+        packed, _ = codecs.decode_cells(payload, 1)
         return C.unpack_coords(packed, self.input_shapes[0])
 
     def runtime_cost_hint(self) -> float:

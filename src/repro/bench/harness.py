@@ -21,6 +21,7 @@ from repro.core.modes import (
     PAY_ONE_B,
     StorageStrategy,
 )
+from repro.core.query import QueryRequest
 from repro.core.subzero import SubZero
 from repro.bench.astronomy import AstronomyBenchmark
 from repro.bench.astronomy import UDF_NODES as ASTRO_UDFS
@@ -90,11 +91,11 @@ MICRO_CONFIGS: dict[str, StorageStrategy | None] = {
 }
 
 
-def _timed_queries(sz: SubZero, queries, **overrides):
+def _timed_queries(sz: SubZero, queries):
     seconds, counts = {}, {}
     for name, query in queries.items():
         start = time.perf_counter()
-        result = sz.execute_query(query, **overrides)
+        result = sz.execute_query(query)
         seconds[name] = time.perf_counter() - start
         counts[name] = result.count
     return seconds, counts
@@ -131,7 +132,10 @@ def run_astronomy(
         seconds, counts = _timed_queries(sz, queries)
         # FQ0Slow: the same forward query without the entire-array shortcut.
         start = time.perf_counter()
-        slow = sz.execute_query(queries["FQ0"], enable_entire_array=False)
+        fq0 = queries["FQ0"]
+        slow = sz.query(
+            QueryRequest(fq0.direction, fq0.cells, fq0.path, entire_array=False)
+        )
         seconds["FQ0Slow"] = time.perf_counter() - start
         counts["FQ0Slow"] = slow.count
         runs.append(

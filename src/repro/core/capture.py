@@ -2,11 +2,10 @@
 
 Interactive-speed capture borrows Smoke's split between *recording* and
 *materialising* lineage.  Operators hand the runtime compact columnar
-descriptors (:class:`~repro.core.model.RegionBatch` /
-:class:`~repro.core.model.ElementwiseBatch` — packed coordinate arrays plus
-offset vectors, no per-pair Python objects); the expensive lowering into
-codecs, hash tables and R-trees runs off the critical path on a single
-background encode worker, so encoding node ``N``'s lineage overlaps
+descriptors (:class:`~repro.core.model.RegionBatch` — packed coordinate
+arrays plus offset vectors, no per-pair Python objects); the expensive
+lowering into codecs, hash tables and R-trees runs off the critical path on
+a single background encode worker, so encoding node ``N``'s lineage overlaps
 computing node ``N+1`` (and, via :meth:`LineageRuntime.flush_all_async`,
 flushing generation ``N`` overlaps the workflow that produces ``N+1``).
 
@@ -31,7 +30,6 @@ from repro.core.model import BufferSink
 __all__ = [
     "CAPTURE_QUEUE_DEPTH",
     "CapturePipeline",
-    "DeferredSink",
     "sink_nbytes",
 ]
 
@@ -39,41 +37,22 @@ __all__ = [
 CAPTURE_QUEUE_DEPTH = 4
 
 
-class DeferredSink(BufferSink):
-    """A :class:`BufferSink` whose encoding is parked for the background
-    worker.  Buffering behaviour is identical — the runtime keys deferral
-    off its own capture mode — but the distinct type lets tests and
-    debuggers see which sinks travelled the deferred path."""
-
-
 def sink_nbytes(sink: BufferSink) -> int:
     """Resident bytes of a sink's deferred descriptors (coordinate arrays,
     offset vectors, payload buffers) — what deferral keeps alive until the
-    background worker lowers it."""
+    background worker lowers it.  An array shared by several fields (the
+    one-cell offsets of an elementwise batch) counts once."""
+    arrays: dict[int, int] = {}
     total = 0
-    for rb in sink.region_batches:
-        total += rb.out_coords.nbytes + rb.out_offsets.nbytes
+    for rb in sink.batches:
+        parts = [rb.out_coords, rb.out_offsets]
         if rb.is_payload:
-            total += len(rb.payloads) + rb.payload_offsets.nbytes
+            total += len(rb.payloads)
+            parts.append(rb.payload_offsets)
         else:
-            total += sum(arr.nbytes for arr in rb.in_coords)
-            total += sum(off.nbytes for off in rb.in_offsets)
-    for batch in sink.elementwise:
-        total += batch.outcells.nbytes
-        total += sum(arr.nbytes for arr in batch.incells)
-    for pbatch in sink.payload_batches:
-        total += pbatch.outcells.nbytes
-        if hasattr(pbatch.payloads, "nbytes"):
-            total += int(pbatch.payloads.nbytes)
-        else:
-            total += sum(len(p) for p in pbatch.payloads)
-    for pair in sink.pairs:
-        total += pair.outcells.nbytes
-        if pair.is_payload:
-            total += len(pair.payload)
-        else:
-            total += sum(arr.nbytes for arr in pair.incells)
-    return total
+            parts += [*rb.in_coords, *rb.in_offsets]
+        arrays.update((id(arr), arr.nbytes) for arr in parts)
+    return total + sum(arrays.values())
 
 
 class CapturePipeline:

@@ -6,9 +6,9 @@ Figure 4 of the paper:
 
 ``FullOne``
     One hash entry per key-side *cell*; the value references a single shared
-    entry holding the other side's cells (or, for one-to-one pairs written
-    through the bulk API, the single cell is inlined — same 8 bytes, no
-    indirection).  Queries are direct hash lookups.
+    entry holding the other side's cells (or, for a one-to-one batch, the
+    single cell is inlined — same 8 bytes, no indirection).  Queries are
+    direct hash lookups.
 
 ``FullMany``
     One entry per *region pair*: the key is the serialized key-side cell
@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.analysis import lockcheck
 from repro.arrays import coords as C
-from repro.core.model import BufferSink
+from repro.core.model import BufferSink, RegionBatch
 from repro.core.modes import (
     EncodingKind,
     LineageMode,
@@ -69,7 +69,6 @@ from repro.errors import LineageError, StorageError
 from repro.storage import codecs
 from repro.storage import filters as filterlib
 from repro.storage import segment as seglib
-from repro.storage import serialize as ser
 from repro.storage.kvstore import BlobStore, HashStore, _gather_slices
 from repro.storage.rtree import RTree
 
@@ -82,7 +81,7 @@ __all__ = [
 
 
 def encode_singleton_int_arrays(values: np.ndarray) -> np.ndarray:
-    """Vectorised ``encode_int_array([v])`` for many ``v`` at once.
+    """Vectorised ``codecs.encode_cells([v])`` for many ``v`` at once.
 
     Single-element arrays always serialize to the same 12-byte layout
     (magic, sorted flag, count=1, width=1, 8-byte base), so a whole batch
@@ -99,16 +98,12 @@ def encode_singleton_int_arrays(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_full_value(incells_per_input: list[np.ndarray]) -> bytes:
-    """Serialize one region pair's per-input packed cell sets."""
-    return b"".join(ser.encode_int_array(np.sort(arr)) for arr in incells_per_input)
-
-
 def decode_full_value(buf: bytes, arity: int) -> list[np.ndarray]:
+    """Inverse of :func:`encode_full_values` for one pair's value bytes."""
     out = []
     offset = 0
     for _ in range(arity):
-        arr, offset = ser.decode_int_array(buf, offset)
+        arr, offset = codecs.decode_cells(buf, offset)
         out.append(arr)
     return out
 
@@ -118,12 +113,16 @@ def _encode_sorted_segmented(
 ) -> tuple[bytes, np.ndarray]:
     """Sort each ``offsets`` segment of ``values`` and batch-encode it.
 
-    The byte-for-byte vectorised counterpart of ``encode_int_array(sort(s))``
+    The byte-for-byte vectorised counterpart of ``encode_cells(sort(s))``
     per segment: one global segmented sort (lexsort keyed by segment owner)
     feeds :func:`repro.storage.codecs.encode_sorted_sets`, so no per-pair
-    Python work happens on the deferred capture path."""
+    Python work happens on the deferred capture path.  One-cell segments
+    skip both and emit the fixed singleton layout directly."""
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
+    if values.size == counts.size and (counts == 1).all():
+        rows = encode_singleton_int_arrays(values)
+        return rows.tobytes(), np.full(counts.size, rows.shape[1], dtype=np.int64)
     owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     order = np.lexsort((values, owner))
     buf, lengths = codecs.encode_sorted_sets(values[order], offsets)
@@ -133,7 +132,7 @@ def _encode_sorted_segmented(
 def encode_full_values(
     packed_per_input: list[np.ndarray], offsets_per_input
 ) -> tuple[bytes, np.ndarray]:
-    """Vectorised :func:`encode_full_value` over ``n`` region pairs.
+    """Encode the Full-layout values of ``n`` region pairs.
 
     ``packed_per_input[i]`` holds input ``i``'s packed cells for every pair,
     segmented by ``offsets_per_input[i]`` (an ``(n+1,)`` offset array).
@@ -199,16 +198,9 @@ class RegionEntryTable:
     # -- writes ----------------------------------------------------------------
 
     def add_entry(self, key_packed: np.ndarray, value: bytes) -> None:
-        key_packed = np.sort(np.ascontiguousarray(key_packed, dtype=np.int64))
-        if key_packed.size == 0:
-            raise StorageError("a region entry needs at least one key cell")
-        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._key_chunks.append(key_packed)
-        self._klen_chunks.append(np.asarray([key_packed.size], dtype=np.int64))
-        # zero-copy when the caller already hands over immutable bytes
-        self._val_chunks.append(value if type(value) is bytes else bytes(value))
-        self._vlen_chunks.append(np.asarray([len(value)], dtype=np.int64))
-        self._dirty = True
+        """Add one entry: the key cell set ``key_packed`` and its value."""
+        key_packed = np.ascontiguousarray(key_packed, dtype=np.int64)
+        self.add_entries(key_packed, [key_packed.size], value, [len(value)])
 
     def add_entries(
         self,
@@ -224,6 +216,7 @@ class RegionEntryTable:
         ``val_buf``.  Key sets are sorted with one segmented lexsort pass —
         the columnar counterpart of ``n`` :meth:`add_entry` calls, with no
         per-entry Python objects (the deferred-capture lowering path).
+        One-cell key sets need no sort.
         """
         keys_concat = np.ascontiguousarray(keys_concat, dtype=np.int64)
         key_counts = np.ascontiguousarray(key_counts, dtype=np.int64)
@@ -237,29 +230,13 @@ class RegionEntryTable:
         val_lengths = np.ascontiguousarray(val_lengths, dtype=np.int64)
         if val_lengths.size != n or int(val_lengths.sum()) != len(val_buf):
             raise StorageError("value lengths must align with keys and span buffer")
-        owner = np.repeat(np.arange(n, dtype=np.int64), key_counts)
-        order = np.lexsort((keys_concat, owner))
+        if keys_concat.size != n:
+            owner = np.repeat(np.arange(n, dtype=np.int64), key_counts)
+            keys_concat = keys_concat[np.lexsort((keys_concat, owner))]
         # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._key_chunks.append(keys_concat[order])
+        self._key_chunks.append(keys_concat)
         self._klen_chunks.append(key_counts)
-        self._val_chunks.append(val_buf if type(val_buf) is bytes else bytes(val_buf))
-        self._vlen_chunks.append(val_lengths)
-        self._dirty = True
-
-    def add_singleton_entries(
-        self, keys_packed: np.ndarray, val_buf: bytes, val_lengths: np.ndarray
-    ) -> None:
-        """Bulk-add ``n`` entries whose key side is a single cell each."""
-        keys_packed = np.ascontiguousarray(keys_packed, dtype=np.int64)
-        n = keys_packed.size
-        if n == 0:
-            return
-        val_lengths = np.ascontiguousarray(val_lengths, dtype=np.int64)
-        if val_lengths.size != n or int(val_lengths.sum()) != len(val_buf):
-            raise StorageError("value lengths must align with keys and span buffer")
-        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._key_chunks.append(keys_packed)
-        self._klen_chunks.append(np.ones(n, dtype=np.int64))
+        # zero-copy when the caller already hands over immutable bytes
         self._val_chunks.append(val_buf if type(val_buf) is bytes else bytes(val_buf))
         self._vlen_chunks.append(val_lengths)
         self._dirty = True
@@ -596,36 +573,8 @@ class RegionEntryTable:
 
     @classmethod
     def load(cls, path: str, key_shape: tuple[int, ...]) -> "RegionEntryTable":
-        import struct
-
-        if seglib.is_segment_file(path):
-            return cls.from_segment(seglib.Segment.open(path), "", key_shape)
-        # legacy pre-segment layout: bare counts + columns; boxes and the
-        # R-tree are re-derived by finalize()
-        table = cls(key_shape)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot load store file {path!r}: {exc}") from exc
-        n, n_keys = struct.unpack_from("<qq", raw, 0)
-        if n == 0:
-            return table
-        offset = 16
-        keys = np.frombuffer(raw, dtype="<i8", count=n_keys, offset=offset).astype(np.int64)
-        offset += 8 * n_keys
-        koff = np.frombuffer(raw, dtype="<i8", count=n + 1, offset=offset).astype(np.int64)
-        offset += 8 * (n + 1)
-        voff = np.frombuffer(raw, dtype="<i8", count=n + 1, offset=offset).astype(np.int64)
-        offset += 8 * (n + 1)
-        vbuf = raw[offset:]
-        table._key_chunks = [keys]
-        table._klen_chunks = [np.diff(koff)]
-        table._val_chunks = [vbuf]
-        table._vlen_chunks = [np.diff(voff)]
-        table._dirty = True
-        table.finalize()
-        return table
+        """Open a table :meth:`flush`-ed to ``path``."""
+        return cls.from_segment(seglib.Segment.open(path), "", key_shape)
 
     def disk_bytes(self) -> int:
         self.finalize()
@@ -687,7 +636,17 @@ class OpLineageStore:
     # -- writes -------------------------------------------------------------
 
     def ingest(self, sink: BufferSink) -> None:
+        """Lower every batch of ``sink`` this layout stores (full or
+        payload pairs); one-to-one batches take the layout's inline path
+        where it has one."""
         raise NotImplementedError
+
+    def _pack_inputs(self, rb: RegionBatch) -> list[np.ndarray]:
+        """A full batch's per-input cells, packed against each input."""
+        return [
+            C.pack_coords(cells, shape)
+            for cells, shape in zip(rb.in_coords, self.in_shapes)
+        ]
 
     def finalize_if_possible(self) -> None:
         """Sort/index pending writes now so the cost lands at write time,
@@ -877,29 +836,7 @@ class OpLineageStore:
         """Replace every component with its persisted counterpart."""
         import os
 
-        path = os.path.join(directory, self.SEGMENT_FILENAME)
-        if seglib.segment_files(path):
-            self.load_segment(path)
-        else:
-            self.load_legacy_components(directory)
-
-    def load_legacy_components(self, directory: str) -> None:
-        """Load a pre-segment flush: one ``<component>.bin`` per component
-        (each loader sniffs the magic, so bare legacy files and segment
-        files both parse) — kept so directories flushed before the
-        segmented format still serve."""
-        import os
-
-        for name, component in self._components().items():
-            path = os.path.join(directory, f"{name}.bin")
-            if isinstance(component, HashStore):
-                self._set_component(name, HashStore.load(path, name))
-            elif isinstance(component, BlobStore):
-                self._set_component(name, BlobStore.load(path, name))
-            else:
-                self._set_component(
-                    name, RegionEntryTable.load(path, component.key_shape)
-                )
+        self.load_segment(os.path.join(directory, self.SEGMENT_FILENAME))
 
     # -- generational merge (compaction writer) -------------------------------
 
@@ -1026,35 +963,18 @@ class _FullBackwardOne(OpLineageStore):
         return {"b": (_concat(keys), self.out_shape)}
 
     def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            for i, cells in enumerate(batch.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._direct[i].put_many_fixed(out_packed, in_packed)
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            value = encode_full_value(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(pair.incells)
-                ]
-            )
-            ref = self._blobs.append(value)
-            out_packed = C.pack_coords(pair.outcells, self.out_shape)
-            self._refs.put_many_fixed(out_packed, np.full(out_packed.size, ref))
-        for rb in sink.region_batches:
+        for rb in sink.batches:
             if rb.is_payload:
                 continue
-            vbuf, vlens = encode_full_values(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(rb.in_coords)
-                ],
-                rb.in_offsets,
-            )
-            ids = self._blobs.append_buffer(vbuf, vlens)
             out_packed = C.pack_coords(rb.out_coords, self.out_shape)
+            in_packed = self._pack_inputs(rb)
+            if rb.unit:  # one-to-one: inline the input cell, no blob
+                for i, cells in enumerate(in_packed):
+                    self._direct[i].put_many_fixed(out_packed, cells)
+                continue
+            ids = self._blobs.append_buffer(
+                *encode_full_values(in_packed, rb.in_offsets)
+            )
             self._refs.put_many_fixed(
                 out_packed, np.repeat(ids, np.diff(rb.out_offsets))
             )
@@ -1148,40 +1068,13 @@ class _FullBackwardMany(OpLineageStore):
         return {"b": (self._table.all_key_cells(), self.out_shape)}
 
     def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            encoded = [
-                encode_singleton_int_arrays(C.pack_coords(cells, self.in_shapes[i]))
-                for i, cells in enumerate(batch.incells)
-            ]
-            rows = np.concatenate(encoded, axis=1)
-            lengths = np.full(out_packed.size, rows.shape[1], dtype=np.int64)
-            self._table.add_singleton_entries(out_packed, rows.tobytes(), lengths)
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            value = encode_full_value(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(pair.incells)
-                ]
-            )
-            self._table.add_entry(C.pack_coords(pair.outcells, self.out_shape), value)
-        for rb in sink.region_batches:
+        for rb in sink.batches:
             if rb.is_payload:
                 continue
-            vbuf, vlens = encode_full_values(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(rb.in_coords)
-                ],
-                rb.in_offsets,
-            )
             self._table.add_entries(
                 C.pack_coords(rb.out_coords, self.out_shape),
                 np.diff(rb.out_offsets),
-                vbuf,
-                vlens,
+                *encode_full_values(self._pack_inputs(rb), rb.in_offsets),
             )
 
     def absorb(self, other: "OpLineageStore") -> None:
@@ -1264,30 +1157,21 @@ class _FullForwardOne(OpLineageStore):
         }
 
     def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            for i, cells in enumerate(batch.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._direct[i].put_many_fixed(in_packed, out_packed)
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            out_packed = np.sort(C.pack_coords(pair.outcells, self.out_shape))
-            ref = self._blobs.append(ser.encode_int_array(out_packed))
-            for i, cells in enumerate(pair.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._refs[i].put_many_fixed(in_packed, np.full(in_packed.size, ref))
-        for rb in sink.region_batches:
+        for rb in sink.batches:
             if rb.is_payload:
                 continue
-            vbuf, vlens = _encode_sorted_segmented(
-                C.pack_coords(rb.out_coords, self.out_shape), rb.out_offsets
+            out_packed = C.pack_coords(rb.out_coords, self.out_shape)
+            in_packed = self._pack_inputs(rb)
+            if rb.unit:  # one-to-one: inline the output cell, no blob
+                for i, cells in enumerate(in_packed):
+                    self._direct[i].put_many_fixed(cells, out_packed)
+                continue
+            ids = self._blobs.append_buffer(
+                *_encode_sorted_segmented(out_packed, rb.out_offsets)
             )
-            ids = self._blobs.append_buffer(vbuf, vlens)
-            for i, cells in enumerate(rb.in_coords):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
+            for i, cells in enumerate(in_packed):
                 self._refs[i].put_many_fixed(
-                    in_packed, np.repeat(ids, np.diff(rb.in_offsets[i]))
+                    cells, np.repeat(ids, np.diff(rb.in_offsets[i]))
                 )
 
     def absorb(self, other: "OpLineageStore") -> None:
@@ -1306,7 +1190,7 @@ class _FullForwardOne(OpLineageStore):
             parts.append(cells)
         qidx, refs = self._refs[input_idx].lookup_refs(qpacked)
         for ref in np.unique(refs):
-            arr, _ = ser.decode_int_array(self._blobs.get(int(ref)))
+            arr, _ = codecs.decode_cells(self._blobs.get(int(ref)))
             parts.append(arr)
         return _concat(parts)
 
@@ -1380,26 +1264,7 @@ class _FullForwardMany(OpLineageStore):
         }
 
     def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            rows = encode_singleton_int_arrays(out_packed)
-            lengths = np.full(out_packed.size, rows.shape[1], dtype=np.int64)
-            for i, cells in enumerate(batch.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._tables[i].add_singleton_entries(
-                    in_packed, rows.tobytes(), lengths
-                )
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            value = ser.encode_int_array(
-                np.sort(C.pack_coords(pair.outcells, self.out_shape))
-            )
-            for i, cells in enumerate(pair.incells):
-                self._tables[i].add_entry(
-                    C.pack_coords(cells, self.in_shapes[i]), value
-                )
-        for rb in sink.region_batches:
+        for rb in sink.batches:
             if rb.is_payload:
                 continue
             vbuf, vlens = _encode_sorted_segmented(
@@ -1407,13 +1272,12 @@ class _FullForwardMany(OpLineageStore):
             )
             vstarts = np.zeros(vlens.size + 1, dtype=np.int64)
             np.cumsum(vlens, out=vstarts[1:])
-            for i, cells in enumerate(rb.in_coords):
+            for i, in_packed in enumerate(self._pack_inputs(rb)):
                 in_counts = np.diff(rb.in_offsets[i])
                 keep = in_counts > 0
                 if not keep.any():
                     # pairs with no cells in this input store no forward keys
                     continue
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
                 if keep.all():
                     buf_i, lens_i = vbuf, vlens
                 else:
@@ -1437,7 +1301,7 @@ class _FullForwardMany(OpLineageStore):
         for entry_id in table.candidate_entries(coords):
             keys = table.entry_keys(int(entry_id))
             if C.isin_sorted(keys, query_sorted).any():
-                arr, _ = ser.decode_int_array(table.entry_value(int(entry_id)))
+                arr, _ = codecs.decode_cells(table.entry_value(int(entry_id)))
                 parts.append(arr)
         return _concat(parts)
 
@@ -1495,29 +1359,15 @@ class _PayBackwardOne(OpLineageStore):
         return {"b": (self._hash.keys_array(), self.out_shape)}
 
     def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.payload_batches:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            if isinstance(batch.payloads, np.ndarray):
-                width = batch.payloads.shape[1]
-                offsets = np.arange(out_packed.size + 1, dtype=np.int64) * width
-                self._hash.put_many(out_packed, batch.payloads.tobytes(), offsets)
-            else:
-                buf = b"".join(batch.payloads)
-                lengths = np.asarray([len(p) for p in batch.payloads], dtype=np.int64)
-                offsets = np.zeros(out_packed.size + 1, dtype=np.int64)
-                np.cumsum(lengths, out=offsets[1:])
-                self._hash.put_many(out_packed, buf, offsets)
-        for pair in sink.pairs:
-            if not pair.is_payload:
-                continue
-            out_packed = C.pack_coords(pair.outcells, self.out_shape)
-            self._hash.put_many_shared(out_packed, pair.payload)
-        for rb in sink.region_batches:
+        for rb in sink.batches:
             if not rb.is_payload:
                 continue
             out_packed = C.pack_coords(rb.out_coords, self.out_shape)
-            out_counts = np.diff(rb.out_offsets)
+            if rb.unit:
+                self._hash.put_many(out_packed, rb.payloads, rb.payload_offsets)
+                continue
             # duplicate each pair's payload once per output cell (PayOne)
+            out_counts = np.diff(rb.out_offsets)
             rep_lens = np.repeat(np.diff(rb.payload_offsets), out_counts)
             buf = _gather_slices(
                 rb.payloads,
@@ -1589,25 +1439,7 @@ class _PayBackwardMany(OpLineageStore):
         return {"b": (self._table.all_key_cells(), self.out_shape)}
 
     def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.payload_batches:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            if isinstance(batch.payloads, np.ndarray):
-                width = batch.payloads.shape[1]
-                lengths = np.full(out_packed.size, width, dtype=np.int64)
-                self._table.add_singleton_entries(
-                    out_packed, batch.payloads.tobytes(), lengths
-                )
-            else:
-                buf = b"".join(batch.payloads)
-                lengths = np.asarray([len(p) for p in batch.payloads], dtype=np.int64)
-                self._table.add_singleton_entries(out_packed, buf, lengths)
-        for pair in sink.pairs:
-            if not pair.is_payload:
-                continue
-            self._table.add_entry(
-                C.pack_coords(pair.outcells, self.out_shape), pair.payload
-            )
-        for rb in sink.region_batches:
+        for rb in sink.batches:
             if not rb.is_payload:
                 continue
             self._table.add_entries(

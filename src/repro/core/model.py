@@ -1,4 +1,4 @@
-"""Region lineage data model: region pairs, batches, frontiers, query paths.
+"""Region lineage data model: region batches, frontiers, query paths.
 
 Region lineage (§IV-c) represents lineage as *region pairs* — an all-to-all
 relationship between a set of output cells and a set of input cells per
@@ -6,10 +6,11 @@ input array.  Payload pairs replace the input cells with a small opaque blob
 that a payload function (``map_p``) expands back into input cells at query
 time (§V-A.3).
 
-Operators emit pairs through the :class:`LineageSink` API.  Two *batch*
-forms exist so hot loops (e.g. one pair per pixel across a megapixel image)
-can hand the runtime whole coordinate arrays instead of a million Python
-objects; a batch row ``i`` denotes its own independent region pair.
+Every ``lwrite*`` call of Table I builds one :class:`RegionBatch` — ``n``
+pairs as packed coordinate arrays plus offset vectors — and hands it to a
+:class:`BufferSink`, so hot loops (e.g. one pair per pixel across a
+megapixel image) cost whole-array passes instead of a million Python
+objects.  A single pair is simply a one-row batch.
 
 The query executor tracks intermediate results as a :class:`Frontier` — the
 paper's in-memory boolean array with one bit per cell, which deduplicates
@@ -19,6 +20,7 @@ for free and makes "all bits set" checks cheap (§VI-C).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,11 +30,7 @@ from repro.arrays import coords as C
 from repro.errors import LineageError, QueryError
 
 __all__ = [
-    "RegionPair",
-    "ElementwiseBatch",
-    "PayloadBatch",
     "RegionBatch",
-    "LineageSink",
     "BufferSink",
     "Frontier",
     "Direction",
@@ -42,95 +40,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RegionPair:
-    """All-to-all lineage between ``outcells`` and per-input ``incells``.
-
-    Exactly one of ``incells`` / ``payload`` is set: full pairs carry the
-    input cells themselves, payload pairs carry the developer's blob.
-    """
-
-    outcells: np.ndarray  # (n_out, ndim_out)
-    incells: tuple[np.ndarray, ...] | None = None
-    payload: bytes | None = None
-
-    def __post_init__(self) -> None:
-        if (self.incells is None) == (self.payload is None):
-            raise LineageError("a region pair carries either input cells or a payload")
-        if self.outcells.ndim != 2 or self.outcells.shape[0] == 0:
-            raise LineageError("a region pair needs at least one output cell")
-
-    @property
-    def is_payload(self) -> bool:
-        return self.payload is not None
-
-    def fanin(self, input_idx: int = 0) -> int:
-        if self.incells is None:
-            raise LineageError("payload pairs have no materialised input cells")
-        return int(self.incells[input_idx].shape[0])
-
-    @property
-    def fanout(self) -> int:
-        return int(self.outcells.shape[0])
-
-
-@dataclass(frozen=True)
-class ElementwiseBatch:
-    """``n`` one-to-one region pairs: row ``i`` of ``outcells`` depends on
-    row ``i`` of each ``incells`` array."""
-
-    outcells: np.ndarray  # (n, ndim_out)
-    incells: tuple[np.ndarray, ...]  # each (n, ndim_in_i)
-
-    def __post_init__(self) -> None:
-        n = self.outcells.shape[0]
-        for arr in self.incells:
-            if arr.shape[0] != n:
-                raise LineageError("elementwise batch arrays must align row-wise")
-
-    @property
-    def count(self) -> int:
-        return int(self.outcells.shape[0])
-
-
-@dataclass(frozen=True)
-class PayloadBatch:
-    """``n`` payload pairs: output cell ``i`` carries ``payloads[i]``.
-
-    ``payloads`` may be a list of byte strings or a ``(n, w)`` uint8 array
-    for fixed-width payloads (the fast path).
-    """
-
-    outcells: np.ndarray  # (n, ndim_out)
-    payloads: list[bytes] | np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.outcells.shape[0]
-        if isinstance(self.payloads, np.ndarray):
-            if self.payloads.ndim != 2 or self.payloads.shape[0] != n:
-                raise LineageError("fixed-width payloads must be a (n, w) uint8 array")
-        elif len(self.payloads) != n:
-            raise LineageError("payload list must align with output cells")
-
-    @property
-    def count(self) -> int:
-        return int(self.outcells.shape[0])
-
-    def payload_at(self, i: int) -> bytes:
-        if isinstance(self.payloads, np.ndarray):
-            return self.payloads[i].tobytes()
-        return self.payloads[i]
-
-
-@dataclass(frozen=True)
 class RegionBatch:
-    """``n`` independent region pairs in columnar form.
+    """``n`` independent region pairs in columnar form — the one lineage
+    descriptor every ``lwrite*`` call builds and every consumer reads.
 
     Pair ``i`` relates ``out_coords[out_offsets[i]:out_offsets[i+1]]`` to
     either ``in_coords[k][in_offsets[k][i]:in_offsets[k][i+1]]`` per input
     ``k`` (full pairs) or ``payloads[payload_offsets[i]:payload_offsets[i+1]]``
-    (payload pairs).  This is the deferred-materialisation descriptor: one
-    batch carries thousands of pairs with zero per-pair Python objects, and
-    the stores lower it to codecs/hash tables in whole-array passes.
+    (payload pairs).  One batch carries thousands of pairs with zero
+    per-pair Python objects, and the stores lower it to codecs/hash tables
+    in whole-array passes.
     """
 
     out_coords: np.ndarray  # (K, ndim_out) int64
@@ -177,78 +96,35 @@ class RegionBatch:
     def arity(self) -> int:
         return len(self.in_coords) if self.in_coords is not None else 0
 
-    def pair_at(self, i: int) -> RegionPair:
-        """Materialise pair ``i`` as a :class:`RegionPair` (slow path)."""
-        outcells = self.out_coords[int(self.out_offsets[i]) : int(self.out_offsets[i + 1])]
-        if self.in_coords is not None:
-            incells = tuple(
-                arr[int(off[i]) : int(off[i + 1])]
-                for arr, off in zip(self.in_coords, self.in_offsets)
-            )
-            return RegionPair(outcells=outcells, incells=incells)
-        lo = int(self.payload_offsets[i])
-        hi = int(self.payload_offsets[i + 1])
-        return RegionPair(outcells=outcells, payload=self.payloads[lo:hi])
-
-
-class LineageSink:
-    """Receiver for an operator's ``lwrite`` calls (see Table I).
-
-    The workflow runtime installs a buffering sink; the re-executor installs
-    a capturing sink.  Subclasses override the ``add_*`` hooks;
-    :meth:`add_region_batch` has a pair-decomposing default so existing
-    custom sinks keep working with batch-emitting operators.
-    """
-
-    def add_pair(self, pair: RegionPair) -> None:
-        raise NotImplementedError
-
-    def add_elementwise(self, batch: ElementwiseBatch) -> None:
-        raise NotImplementedError
-
-    def add_payload_batch(self, batch: PayloadBatch) -> None:
-        raise NotImplementedError
-
-    def add_region_batch(self, batch: RegionBatch) -> None:
-        for i in range(batch.count):
-            self.add_pair(batch.pair_at(i))
+    @functools.cached_property
+    def unit(self) -> bool:
+        """True when every pair is one output cell and, for full pairs, one
+        cell of every input — the one-to-one shape the stores and the
+        re-executor serve through their inline fast paths."""
+        n = self.count
+        if len(self.out_coords) != n:
+            return False
+        return self.in_coords is None or all(
+            len(arr) == n and (np.diff(off) == 1).all()
+            for arr, off in zip(self.in_coords, self.in_offsets)
+        )
 
 
 @dataclass
-class BufferSink(LineageSink):
-    """In-memory sink used by the runtime and the re-executor."""
+class BufferSink:
+    """Receiver for an operator's ``lwrite*`` calls (see Table I): the
+    batches they built, in call order.  The workflow runtime lowers them
+    into stores (inline or on the background encode worker); the
+    re-executor joins them against query cells."""
 
-    pairs: list[RegionPair] = field(default_factory=list)
-    elementwise: list[ElementwiseBatch] = field(default_factory=list)
-    payload_batches: list[PayloadBatch] = field(default_factory=list)
-    region_batches: list[RegionBatch] = field(default_factory=list)
+    batches: list[RegionBatch] = field(default_factory=list)
 
-    def add_pair(self, pair: RegionPair) -> None:
-        self.pairs.append(pair)
-
-    def add_elementwise(self, batch: ElementwiseBatch) -> None:
-        self.elementwise.append(batch)
-
-    def add_payload_batch(self, batch: PayloadBatch) -> None:
-        self.payload_batches.append(batch)
-
-    def add_region_batch(self, batch: RegionBatch) -> None:
-        self.region_batches.append(batch)
+    def add(self, batch: RegionBatch) -> None:
+        self.batches.append(batch)
 
     @property
     def n_pairs(self) -> int:
-        return (
-            len(self.pairs)
-            + sum(b.count for b in self.elementwise)
-            + sum(b.count for b in self.payload_batches)
-            + sum(b.count for b in self.region_batches)
-        )
-
-    def clear(self) -> None:
-        self.pairs.clear()
-        self.elementwise.clear()
-        self.payload_batches.clear()
-        self.region_batches.clear()
+        return sum(batch.count for batch in self.batches)
 
 
 class Frontier:

@@ -76,8 +76,7 @@ class QueryRequest:
     The traversal is given either as an explicit ``path`` (the paper's
     ``((P1, idx1), ..., (Pm, idxm))``) or as ``start``/``end`` endpoints
     resolved against the workflow spec at execution time (the shortest
-    dataflow route, like ``trace_back``/``trace_forward``).  Exactly one
-    of the two forms must be set.
+    dataflow route).  Exactly one of the two forms must be set.
 
     ``entire_array`` / ``query_opt`` override the engine's §VI-C / §VII-A
     optimizations for this request only; ``None`` keeps the engine default.

@@ -13,7 +13,6 @@ mapping functions.  Un-instrumented operators degrade to all-to-all.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
@@ -55,9 +54,9 @@ class ReExecutor:
             op.compute(inputs)  # pay the re-execution cost
             sink = None
         else:
-            sink = BufferSink()
-            ctx = LineageContext(cur_modes=modes, sink=sink, node=node)
+            ctx = LineageContext(cur_modes=modes, node=node)
             op.run(inputs, ctx)
+            sink = ctx.sink
         elapsed = time.perf_counter() - start
         if self.stats is not None:
             self.stats.record_reexec(node, elapsed)
@@ -133,76 +132,37 @@ def join_sink_backward(
     query = np.sort(qpacked)
     matched = np.zeros(qpacked.size, dtype=bool)
     parts: list[np.ndarray] = []
-
-    def mark(hit_packed: np.ndarray) -> None:
-        matched[np.isin(qpacked, hit_packed)] = True
-
-    for pair in itertools.chain(sink.pairs, _payload_batch_pairs(sink)):
-        outp = C.pack_coords(pair.outcells, out_shape)
-        hit = outp[C.isin_sorted(outp, query)]
-        if hit.size == 0:
-            continue
-        mark(hit)
-        if pair.is_payload:
-            cells = op.map_p_many(
-                C.unpack_coords(hit, out_shape), pair.payload, input_idx
-            )
-            parts.append(C.pack_coords(cells, in_shape))
-        else:
-            parts.append(C.pack_coords(pair.incells[input_idx], in_shape))
-    for batch in sink.elementwise:
-        outp = C.pack_coords(batch.outcells, out_shape)
-        mask = C.isin_sorted(outp, query)
-        if mask.any():
-            mark(outp[mask])
-            inp = C.pack_coords(batch.incells[input_idx], in_shape)
-            parts.append(inp[mask])
-    for pbatch in sink.payload_batches:
-        outp = C.pack_coords(pbatch.outcells, out_shape)
-        mask = C.isin_sorted(outp, query)
-        if not mask.any():
-            continue
-        mark(outp[mask])
-        coords = C.as_coord_array(pbatch.outcells)[mask]
-        payloads = (
-            pbatch.payloads[mask]
-            if isinstance(pbatch.payloads, np.ndarray)
-            else [p for p, m in zip(pbatch.payloads, mask) if m]
-        )
-        cells, _ = op.map_p_batch(coords, payloads, input_idx)
-        parts.append(C.pack_coords(cells, in_shape))
-    for rb in sink.region_batches:
-        if rb.is_payload:
-            continue  # handled via _payload_batch_pairs above
+    for rb in sink.batches:
         outp = C.pack_coords(rb.out_coords, out_shape)
         hit_mask = C.isin_sorted(outp, query)
         if not hit_mask.any():
             continue
-        mark(outp[hit_mask])
-        owner = np.repeat(
-            np.arange(rb.count, dtype=np.int64), np.diff(rb.out_offsets)
-        )
-        hit_pairs = np.zeros(rb.count, dtype=bool)
-        hit_pairs[owner[hit_mask]] = True
-        in_off = rb.in_offsets[input_idx]
-        idx = C.expand_ranges(in_off[:-1][hit_pairs], np.diff(in_off)[hit_pairs])
-        if idx.size:
-            parts.append(
-                C.pack_coords(rb.in_coords[input_idx][idx], in_shape)
+        matched[np.isin(qpacked, outp[hit_mask])] = True
+        if rb.is_payload and rb.unit:
+            # one output cell per pair: one map_p_batch over the hit rows
+            cells, _ = op.map_p_batch(
+                rb.out_coords[hit_mask], _unit_payloads(rb, hit_mask), input_idx
             )
+            parts.append(C.pack_coords(cells, in_shape))
+        elif rb.is_payload:
+            # payload expansion is per pair (map_p), over each pair's hits
+            for i in np.unique(_owners(rb.out_offsets)[hit_mask]):
+                lo, hi = rb.out_offsets[i], rb.out_offsets[i + 1]
+                cells = op.map_p_many(
+                    C.unpack_coords(outp[lo:hi][hit_mask[lo:hi]], out_shape),
+                    _payload(rb, i),
+                    input_idx,
+                )
+                parts.append(C.pack_coords(cells, in_shape))
+        else:
+            hit_pairs = np.zeros(rb.count, dtype=bool)
+            hit_pairs[_owners(rb.out_offsets)[hit_mask]] = True
+            in_off = rb.in_offsets[input_idx]
+            idx = C.expand_ranges(in_off[:-1][hit_pairs], np.diff(in_off)[hit_pairs])
+            if idx.size:
+                parts.append(C.pack_coords(rb.in_coords[input_idx][idx], in_shape))
     result = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return result, matched
-
-
-def _payload_batch_pairs(sink: BufferSink):
-    """Materialise the payload region batches as pairs — payload expansion
-    is inherently per-pair (``map_p``), so these join via the pair path."""
-    return (
-        rb.pair_at(i)
-        for rb in sink.region_batches
-        if rb.is_payload
-        for i in range(rb.count)
-    )
 
 
 def join_sink_forward(
@@ -222,61 +182,42 @@ def join_sink_forward(
     query = np.sort(qpacked)
     parts: list[np.ndarray] = []
     covered_parts: list[np.ndarray] = []
-
-    for pair in itertools.chain(sink.pairs, _payload_batch_pairs(sink)):
-        outp = C.pack_coords(pair.outcells, out_shape)
-        if pair.is_payload:
-            covered_parts.append(outp)
-            if op.payload_uniform:
-                cells = op.map_p_many(pair.outcells, pair.payload, input_idx)
-                inp = C.pack_coords(cells, in_shape)
-                if C.isin_sorted(inp, query).any():
-                    parts.append(outp)
-            else:
-                for i in range(pair.outcells.shape[0]):
-                    cells = op.map_p_many(
-                        pair.outcells[i: i + 1], pair.payload, input_idx
-                    )
-                    inp = C.pack_coords(cells, in_shape)
-                    if C.isin_sorted(inp, query).any():
-                        parts.append(outp[i: i + 1])
-        else:
-            inp = C.pack_coords(pair.incells[input_idx], in_shape)
-            if C.isin_sorted(inp, query).any():
-                parts.append(outp)
-    for batch in sink.elementwise:
-        inp = C.pack_coords(batch.incells[input_idx], in_shape)
-        mask = C.isin_sorted(inp, query)
-        if mask.any():
-            outp = C.pack_coords(batch.outcells, out_shape)
-            parts.append(outp[mask])
-    for pbatch in sink.payload_batches:
-        outp = C.pack_coords(pbatch.outcells, out_shape)
-        covered_parts.append(outp)
-        coords = C.as_coord_array(pbatch.outcells)
-        cells, rows = op.map_p_batch(coords, pbatch.payloads, input_idx)
-        inp = C.pack_coords(cells, in_shape)
-        hit_rows = np.unique(rows[np.isin(inp, query)])
-        if hit_rows.size:
-            parts.append(outp[hit_rows])
-    for rb in sink.region_batches:
-        if rb.is_payload:
-            continue  # handled via _payload_batch_pairs above
-        inp = C.pack_coords(rb.in_coords[input_idx], in_shape)
-        mask = C.isin_sorted(inp, query)
-        if not mask.any():
+    for rb in sink.batches:
+        if not rb.is_payload:
+            in_off = rb.in_offsets[input_idx]
+            mask = C.isin_sorted(
+                C.pack_coords(rb.in_coords[input_idx], in_shape), query
+            )
+            if not mask.any():
+                continue
+            hit_pairs = np.zeros(rb.count, dtype=bool)
+            hit_pairs[_owners(in_off)[mask]] = True
+            idx = C.expand_ranges(
+                rb.out_offsets[:-1][hit_pairs], np.diff(rb.out_offsets)[hit_pairs]
+            )
+            parts.append(C.pack_coords(rb.out_coords[idx], out_shape))
             continue
-        owner = np.repeat(
-            np.arange(rb.count, dtype=np.int64),
-            np.diff(rb.in_offsets[input_idx]),
-        )
-        hit_pairs = np.zeros(rb.count, dtype=bool)
-        hit_pairs[owner[mask]] = True
-        idx = C.expand_ranges(
-            rb.out_offsets[:-1][hit_pairs], np.diff(rb.out_offsets)[hit_pairs]
-        )
-        outp = C.pack_coords(rb.out_coords[idx], out_shape)
-        parts.append(outp)
+        outp = C.pack_coords(rb.out_coords, out_shape)
+        covered_parts.append(outp)
+        if rb.unit:
+            cells, rows = op.map_p_batch(
+                rb.out_coords, _unit_payloads(rb, slice(None)), input_idx
+            )
+            inp = C.pack_coords(cells, in_shape)
+            hit_rows = np.unique(rows[np.isin(inp, query)])
+            if hit_rows.size:
+                parts.append(outp[hit_rows])
+            continue
+        for i in range(rb.count):
+            lo, hi = int(rb.out_offsets[i]), int(rb.out_offsets[i + 1])
+            payload = _payload(rb, i)
+            # a uniform payload maps every cell of its pair alike: test the
+            # pair once instead of cell by cell
+            step = hi - lo if op.payload_uniform else 1
+            for a in range(lo, hi, step):
+                cells = op.map_p_many(rb.out_coords[a : a + step], payload, input_idx)
+                if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
+                    parts.append(outp[a : a + step])
     result = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     covered = (
         np.unique(np.concatenate(covered_parts))
@@ -284,3 +225,23 @@ def join_sink_forward(
         else np.empty(0, dtype=np.int64)
     )
     return result, covered
+
+
+def _owners(offsets: np.ndarray) -> np.ndarray:
+    """Pair index of every cell a segment-offsets vector spans."""
+    return np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+
+
+def _payload(rb, i: int) -> bytes:
+    return rb.payloads[int(rb.payload_offsets[i]) : int(rb.payload_offsets[i + 1])]
+
+
+def _unit_payloads(rb, rows):
+    """The payloads of ``rows`` of a one-cell-per-pair payload batch, as
+    ``map_p_batch`` takes them: a ``(n, w)`` uint8 array when every
+    payload is ``w`` bytes wide, else a list of byte strings."""
+    widths = np.diff(rb.payload_offsets)
+    if widths.size and (widths == widths[0]).all():
+        fixed = np.frombuffer(rb.payloads, dtype=np.uint8)
+        return fixed.reshape(rb.count, int(widths[0]))[rows]
+    return [_payload(rb, i) for i in np.arange(rb.count)[rows]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import lockcheck
-from repro.core.capture import CapturePipeline, DeferredSink, sink_nbytes
+from repro.core.capture import CapturePipeline, sink_nbytes
 from repro.core.lineage_store import OpLineageStore, make_store
 from repro.core.model import BufferSink
 from repro.core.modes import BLACKBOX, LineageMode, StorageStrategy
@@ -101,12 +101,6 @@ class LineageRuntime:
             self._stores[key] = make_store(
                 node, strategy, op.output_shape, op.input_shapes
             )
-
-    def make_sink(self) -> BufferSink:
-        """The sink the executor should install for one node's run —
-        a :class:`DeferredSink` in deferred mode so the captured
-        descriptors are recognisably parked for the background worker."""
-        return DeferredSink() if self.deferred else BufferSink()
 
     def ingest(
         self,
@@ -215,7 +209,7 @@ class LineageRuntime:
     def resident_store(
         self, node: str, strategy: StorageStrategy
     ) -> OpLineageStore | None:
-        """The in-memory (ingested or legacy-loaded) store only — never
+        """The in-memory (ingested) store only — never
         opens anything from the catalog."""
         return self._stores.get((node, strategy))
 
@@ -552,12 +546,8 @@ class LineageRuntime:
         eviction); None keeps it unbounded.  A directory holding a
         ``partitions.json`` root manifest attaches as a
         :class:`~repro.storage.partition.PartitionedCatalog` (the budget is
-        split across its partitions); directories flushed before the
-        segmented format (a ``manifest.json`` with per-component ``.bin``
-        files) still load, eagerly, via the legacy fallback."""
-        import os
-
-        from repro.core.catalog import MANIFEST_NAME, StoreCatalog
+        split across its partitions)."""
+        from repro.core.catalog import StoreCatalog
         from repro.storage.partition import PartitionedCatalog, is_partitioned_root
 
         if is_partitioned_root(directory):
@@ -566,46 +556,9 @@ class LineageRuntime:
                     directory, memory_budget_bytes=memory_budget_bytes
                 )
             )
-        if not os.path.exists(os.path.join(directory, MANIFEST_NAME)) and os.path.exists(
-            os.path.join(directory, "manifest.json")
-        ):
-            return self._load_legacy_manifest(directory)
         return self.attach_catalog(
             StoreCatalog.open(directory, memory_budget_bytes=memory_budget_bytes)
         )
-
-    def _load_legacy_manifest(self, directory: str) -> int:
-        """Eagerly recreate every store of a pre-segment ``manifest.json``
-        flush (the old directory-of-``.bin``-files layout)."""
-        import json
-        import os
-
-        from repro.core.modes import EncodingKind, Orientation
-
-        with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        loaded = 0
-        for entry in manifest:
-            strategy = StorageStrategy(
-                mode=LineageMode(entry["mode"]),
-                encoding=EncodingKind(entry["encoding"]) if entry["encoding"] else None,
-                orientation=(
-                    Orientation(entry["orientation"]) if entry["orientation"] else None
-                ),
-            )
-            store = make_store(
-                entry["node"],
-                strategy,
-                tuple(entry["out_shape"]),
-                tuple(tuple(s) for s in entry["in_shapes"]),
-            )
-            store.load_legacy_components(os.path.join(directory, entry["dir"]))
-            self._stores[(entry["node"], strategy)] = store
-            existing = self._strategies.get(entry["node"], ())
-            if strategy not in existing:
-                self._strategies[entry["node"]] = existing + (strategy,)
-            loaded += 1
-        return loaded
 
     def attach_catalog(self, catalog) -> int:
         """Serve queries from an already-open :class:`StoreCatalog`."""

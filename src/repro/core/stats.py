@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.arrays import coords as C
 from repro.core.model import BufferSink
-from repro.storage import serialize as ser
+from repro.storage import codecs
 
 __all__ = ["OperatorStats", "StatsCollector"]
 
@@ -25,15 +25,13 @@ ENC_SAMPLE_PAIRS = 256
 
 #: serialized bytes of a one-cell codec value (the stable singleton layout),
 #: derived from the codec layer so it can never drift from the wire format
-_SINGLETON_BYTES = ser.int_array_nbytes(np.zeros(1, dtype=np.int64))
+_SINGLETON_BYTES = codecs.cells_nbytes(np.zeros(1, dtype=np.int64))
 
 
 def _segmented_nbytes(values: np.ndarray, offsets: np.ndarray) -> int:
     """Codec-priced bytes of the cell sets ``values[offsets[i]:offsets[i+1]]``
     in one vectorised pass (byte-identical to pricing each sorted set through
-    ``int_array_nbytes``, per the ``encode_sorted_sets`` equivalence)."""
-    from repro.storage import codecs
-
+    ``cells_nbytes``, per the ``encode_sorted_sets`` equivalence)."""
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
     owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -56,7 +54,7 @@ class OperatorStats:
     n_payload_outcells: int = 0
     output_size: int = 0
     input_sizes: tuple[int, ...] = ()
-    # codec-predicted serialized footprints (sampled via int_array_nbytes,
+    # codec-predicted serialized footprints (sampled via cells_nbytes,
     # extrapolated to the whole sink); zero until a run provided shapes
     enc_in_bytes: int = 0
     enc_out_bytes: int = 0
@@ -173,7 +171,7 @@ class StatsCollector:
 
         When the caller provides the array shapes, a sample of the region
         pairs is additionally priced through the codec layer
-        (:func:`repro.storage.serialize.int_array_nbytes`), so the cost
+        (:func:`repro.storage.codecs.cells_nbytes`), so the cost
         model sees *compressed* footprints — contiguous convolution or
         reshape lineage interval-codes, and dense-but-ragged masks
         bitmap-code, to a fraction of the old per-cell constant — instead
@@ -181,38 +179,15 @@ class StatsCollector:
         """
         stats = self.get(node)
         n_pairs = n_out = n_in = pay_bytes = n_pay = n_pay_out = 0
-        for pair in sink.pairs:
-            n_pairs += 1
-            n_out += pair.fanout
-            if pair.is_payload:
-                n_pay += 1
-                n_pay_out += pair.fanout
-                pay_bytes += len(pair.payload)
-            else:
-                n_in += sum(int(cells.shape[0]) for cells in pair.incells)
-        for batch in sink.elementwise:
-            n_pairs += batch.count
-            n_out += batch.count
-            n_in += batch.count * len(batch.incells)
-        for pbatch in sink.payload_batches:
-            n_pairs += pbatch.count
-            n_pay += pbatch.count
-            n_out += pbatch.count
-            n_pay_out += pbatch.count
-            if hasattr(pbatch.payloads, "nbytes"):
-                pay_bytes += int(pbatch.payloads.nbytes)
-            else:
-                pay_bytes += sum(len(p) for p in pbatch.payloads)
-        region_batches = list(sink.region_batches)
-        for rb in region_batches:
+        for rb in sink.batches:
             n_pairs += rb.count
-            n_out += int(rb.out_coords.shape[0])
+            n_out += len(rb.out_coords)
             if rb.is_payload:
                 n_pay += rb.count
-                n_pay_out += int(rb.out_coords.shape[0])
+                n_pay_out += len(rb.out_coords)
                 pay_bytes += len(rb.payloads)
             else:
-                n_in += sum(int(arr.shape[0]) for arr in rb.in_coords)
+                n_in += sum(len(arr) for arr in rb.in_coords)
         stats.n_pairs = n_pairs
         stats.n_outcells = n_out
         stats.n_incells = n_in
@@ -238,69 +213,50 @@ class StatsCollector:
         Split from :meth:`record_sink` so deferred capture can run the
         sampling on the background encode worker — pricing costs real codec
         passes, which must not land on the workflow thread."""
-        full_pairs = [p for p in sink.pairs if not p.is_payload]
-        n_elem = sum(batch.count for batch in sink.elementwise)
         stats = self.get(node)
-        enc_in, enc_out = self._predict_encoded_bytes(
-            full_pairs, n_elem, list(sink.region_batches), out_shape, in_shapes
+        stats.enc_in_bytes, stats.enc_out_bytes = self._predict_encoded_bytes(
+            [rb for rb in sink.batches if not rb.is_payload], out_shape, in_shapes
         )
-        stats.enc_in_bytes = enc_in
-        stats.enc_out_bytes = enc_out
 
     @staticmethod
     def _predict_encoded_bytes(
-        full_pairs: list,
-        n_elem: int,
-        region_batches: list,
+        full_batches: list,
         out_shape: tuple[int, ...],
         in_shapes: tuple[tuple[int, ...], ...],
     ) -> tuple[int, int]:
         """Codec-priced (input-side, output-side) bytes for the full pairs.
 
-        Prices up to :data:`ENC_SAMPLE_PAIRS` pairs exactly — sorted packed
-        coordinates through ``int_array_nbytes``, which mirrors the codec
-        selection byte-for-byte — and extrapolates the rest linearly.
-        Elementwise batches contribute the fixed singleton layout per cell.
+        One-to-one batches contribute the fixed singleton layout per cell.
+        Of the others, the leading :data:`ENC_SAMPLE_PAIRS` pairs are priced
+        exactly — sorted packed coordinates through one vectorised codec
+        pass, which mirrors the codec selection byte-for-byte — and the rest
+        is extrapolated linearly.
         """
-        sample = full_pairs[:ENC_SAMPLE_PAIRS]
         in_bytes = out_bytes = 0
-        for pair in sample:
-            for i, cells in enumerate(pair.incells):
-                packed = np.sort(C.pack_coords(cells, in_shapes[i]))
-                in_bytes += ser.int_array_nbytes(packed)
-            packed = np.sort(C.pack_coords(pair.outcells, out_shape))
-            out_bytes += ser.int_array_nbytes(packed)
-        if sample and len(full_pairs) > len(sample):
-            scale = len(full_pairs) / len(sample)
-            in_bytes = int(in_bytes * scale)
-            out_bytes = int(out_bytes * scale)
-        full_batches = [rb for rb in region_batches if not rb.is_payload]
-        total_rb = sum(rb.count for rb in full_batches)
-        if total_rb:
-            # one vectorised codec pass over the leading sample of each
-            # batch — the per-pair pricing loop would cost more than the
-            # deferred capture path it measures
-            rb_in = rb_out = sampled = 0
-            for rb in full_batches:
-                take = min(rb.count, ENC_SAMPLE_PAIRS - sampled)
-                if take == 0:
-                    break
-                out_off = rb.out_offsets[: take + 1]
-                rb_out += _segmented_nbytes(
-                    C.pack_coords(rb.out_coords[: out_off[-1]], out_shape), out_off
+        sampled_in = sampled_out = sampled = total = 0
+        for rb in full_batches:
+            if rb.unit:
+                in_bytes += rb.count * rb.arity * _SINGLETON_BYTES
+                out_bytes += rb.count * _SINGLETON_BYTES
+                continue
+            total += rb.count
+            take = min(rb.count, ENC_SAMPLE_PAIRS - sampled)
+            if take == 0:
+                continue
+            out_off = rb.out_offsets[: take + 1]
+            sampled_out += _segmented_nbytes(
+                C.pack_coords(rb.out_coords[: out_off[-1]], out_shape), out_off
+            )
+            for i, cells in enumerate(rb.in_coords):
+                in_off = rb.in_offsets[i][: take + 1]
+                sampled_in += _segmented_nbytes(
+                    C.pack_coords(cells[: in_off[-1]], in_shapes[i]), in_off
                 )
-                for i, cells in enumerate(rb.in_coords):
-                    in_off = rb.in_offsets[i][: take + 1]
-                    rb_in += _segmented_nbytes(
-                        C.pack_coords(cells[: in_off[-1]], in_shapes[i]), in_off
-                    )
-                sampled += take
-            scale = total_rb / sampled
-            in_bytes += int(rb_in * scale)
-            out_bytes += int(rb_out * scale)
-        arity = max(1, len(in_shapes))
-        in_bytes += n_elem * arity * _SINGLETON_BYTES
-        out_bytes += n_elem * _SINGLETON_BYTES
+            sampled += take
+        if sampled:
+            scale = total / sampled
+            in_bytes += int(sampled_in * scale)
+            out_bytes += int(sampled_out * scale)
         return in_bytes, out_bytes
 
     def record_store(

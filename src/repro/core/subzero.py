@@ -25,7 +25,6 @@ never closes a mapping under a pinned session.
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
@@ -516,88 +515,24 @@ class SubZero:
         scatter-gather layer first (see :meth:`_dispatch_request`)."""
         return self._dispatch_request(self._require_executor(), request, session)
 
-    def backward_query(self, cells, path, session=None, **overrides) -> QueryResult:
+    def backward_query(self, cells, path, session=None) -> QueryResult:
         """Backward query along an explicit path.  Convenience wrapper for
-        :meth:`query`; keyword overrides are deprecated — set the
-        corresponding :class:`QueryRequest` fields instead."""
-        fields = self._override_fields("backward_query", overrides)
-        return self.query(
-            QueryRequest.backward(cells, path, **fields), session=session
-        )
+        :meth:`query`; build a :class:`QueryRequest` to set its other
+        fields."""
+        return self.query(QueryRequest.backward(cells, path), session=session)
 
-    def forward_query(self, cells, path, session=None, **overrides) -> QueryResult:
+    def forward_query(self, cells, path, session=None) -> QueryResult:
         """Forward query along an explicit path (see :meth:`backward_query`)."""
-        fields = self._override_fields("forward_query", overrides)
-        return self.query(
-            QueryRequest.forward(cells, path, **fields), session=session
-        )
+        return self.query(QueryRequest.forward(cells, path), session=session)
 
     def execute_query(
-        self, query: LineageQuery | QueryRequest, session=None, **overrides
+        self, query: LineageQuery | QueryRequest, session=None
     ) -> QueryResult:
-        """Execute a :class:`QueryRequest` (preferred) or a legacy
-        :class:`LineageQuery`.  Keyword overrides are deprecated in favor
-        of the request's ``entire_array``/``query_opt`` fields."""
+        """Execute a :class:`QueryRequest` (preferred) or a
+        :class:`LineageQuery`."""
         if isinstance(query, QueryRequest):
-            fields = self._override_fields("execute_query", overrides)
-            if fields:
-                query = query.with_overrides(**fields)
             return self.query(query, session=session)
-        fields = self._override_fields("execute_query", overrides)
-        return self._require_executor().execute(
-            query,
-            enable_entire_array=fields.get("entire_array"),
-            enable_query_opt=fields.get("query_opt"),
-            session=session,
-        )
-
-    def trace_back(self, cells, from_node: str, to: str, session=None, **overrides) -> QueryResult:
-        """Backward query with the path inferred (shortest dataflow route
-        from ``from_node``'s output back to node or source ``to``)."""
-        fields = self._override_fields("trace_back", overrides)
-        return self.query(
-            QueryRequest.backward(cells, start=from_node, end=to, **fields),
-            session=session,
-        )
-
-    def trace_forward(self, cells, from_name: str, to_node: str, session=None, **overrides) -> QueryResult:
-        """Forward query with the path inferred (``from_name`` may be a
-        source or a node; the trace ends at ``to_node``'s output)."""
-        fields = self._override_fields("trace_forward", overrides)
-        return self.query(
-            QueryRequest.forward(cells, start=from_name, end=to_node, **fields),
-            session=session,
-        )
-
-    #: legacy ``**overrides`` kwarg -> QueryRequest field (the shim's map)
-    _OVERRIDE_FIELDS = {
-        "enable_entire_array": "entire_array",
-        "enable_query_opt": "query_opt",
-    }
-
-    @classmethod
-    def _override_fields(cls, method: str, overrides: Mapping) -> dict:
-        """Back-compat shim: map deprecated ``**overrides`` kwargs onto
-        :class:`QueryRequest` fields with a :class:`DeprecationWarning`;
-        reject unknown kwargs loudly (they used to vanish into the soup)."""
-        if not overrides:
-            return {}
-        fields = {}
-        for key, value in overrides.items():
-            replacement = cls._OVERRIDE_FIELDS.get(key)
-            if replacement is None:
-                raise TypeError(
-                    f"{method}() got an unexpected keyword argument {key!r}"
-                )
-            warnings.warn(
-                f"{method}(..., {key}=...) is deprecated; build a "
-                f"QueryRequest with {replacement}={value!r} instead "
-                "(the kwargs shim will be removed next release)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            fields[replacement] = value
-        return fields
+        return self._require_executor().execute(query, session=session)
 
     # -- optimization ----------------------------------------------------------------------
 

@@ -27,14 +27,7 @@ import numpy as np
 from repro.arrays import coords as C
 from repro.arrays.array import SciArray
 from repro.arrays.schema import ArraySchema
-from repro.core.model import (
-    BufferSink,
-    ElementwiseBatch,
-    LineageSink,
-    PayloadBatch,
-    RegionBatch,
-    RegionPair,
-)
+from repro.core.model import BufferSink, RegionBatch
 from repro.core.modes import LineageMode
 from repro.errors import LineageError, OperatorError
 
@@ -48,7 +41,7 @@ class LineageContext:
     def __init__(
         self,
         cur_modes: frozenset[LineageMode],
-        sink: LineageSink | None = None,
+        sink: BufferSink | None = None,
         node: str | None = None,
     ):
         self.cur_modes = frozenset(cur_modes)
@@ -73,38 +66,51 @@ class LineageContext:
         return self.wants_full or self.wants_payload
 
     # -- the lwrite API (Table I) ---------------------------------------------
+    #
+    # Every form builds one RegionBatch; the one-pair and one-to-one forms
+    # are adapters over the two columnar ones.
 
     def lwrite(self, outcells, *incells) -> None:
         """Record one region pair: ``outcells`` depend on every ``incells[i]``."""
         if not incells:
             raise LineageError("lwrite needs input cells (or use lwrite_payload)")
-        pair = RegionPair(
-            outcells=C.as_coord_array(outcells),
-            incells=tuple(C.as_coord_array(cells) for cells in incells),
+        outcells = C.as_coord_array(outcells)
+        incells = [C.as_coord_array(cells) for cells in incells]
+        self.lwrite_batch(
+            outcells, [0, len(outcells)], incells, [[0, len(cells)] for cells in incells]
         )
-        self.sink.add_pair(pair)
 
     def lwrite_payload(self, outcells, payload: bytes) -> None:
         """Record one payload pair (``lwrite(outcells, payload)`` in Table I)."""
-        if type(payload) is not bytes:  # zero-copy when already immutable
-            payload = bytes(payload)
-        self.sink.add_pair(
-            RegionPair(outcells=C.as_coord_array(outcells), payload=payload)
+        outcells = C.as_coord_array(outcells)
+        self.lwrite_payload_regions(
+            outcells, [0, len(outcells)], payload, [0, len(payload)]
         )
 
     def lwrite_elementwise(self, outcells, *incells) -> None:
         """Bulk form: row ``i`` is its own one-to-one region pair."""
-        self.sink.add_elementwise(
-            ElementwiseBatch(
-                outcells=C.as_coord_array(outcells),
-                incells=tuple(C.as_coord_array(cells) for cells in incells),
-            )
-        )
+        outcells = C.as_coord_array(outcells)
+        one_cell = np.arange(outcells.shape[0] + 1, dtype=np.int64)
+        self.lwrite_batch(outcells, one_cell, incells, [one_cell] * len(incells))
 
     def lwrite_payload_batch(self, outcells, payloads) -> None:
-        """Bulk form: output cell ``i`` carries ``payloads[i]``."""
-        self.sink.add_payload_batch(
-            PayloadBatch(outcells=C.as_coord_array(outcells), payloads=payloads)
+        """Bulk form: output cell ``i`` carries ``payloads[i]`` — a list of
+        byte strings or a ``(n, w)`` uint8 array of fixed-width payloads."""
+        outcells = C.as_coord_array(outcells)
+        n = outcells.shape[0]
+        if isinstance(payloads, np.ndarray):
+            if payloads.ndim != 2 or payloads.shape[0] != n:
+                raise LineageError("fixed-width payloads must be a (n, w) uint8 array")
+            offsets = np.arange(n + 1, dtype=np.int64) * payloads.shape[1]
+            payloads = payloads.tobytes()
+        else:
+            if len(payloads) != n:
+                raise LineageError("payload list must align with output cells")
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum([len(p) for p in payloads], out=offsets[1:])
+            payloads = b"".join(payloads)
+        self.lwrite_payload_regions(
+            outcells, np.arange(n + 1, dtype=np.int64), payloads, offsets
         )
 
     def lwrite_batch(self, out_coords, out_offsets, in_coords, in_offsets) -> None:
@@ -115,7 +121,7 @@ class LineageContext:
         This is the zero-object capture path: built-in operators emit their
         whole lineage as one descriptor and the stores lower it lazily.
         """
-        self.sink.add_region_batch(
+        self.sink.add(
             RegionBatch(
                 out_coords=C.as_coord_array(out_coords),
                 out_offsets=np.asarray(out_offsets, dtype=np.int64),
@@ -134,9 +140,9 @@ class LineageContext:
         Pair ``i`` spans ``out_coords[out_offsets[i]:out_offsets[i+1]]`` and
         carries ``payloads[payload_offsets[i]:payload_offsets[i+1]]``.
         """
-        if type(payloads) is not bytes:
+        if type(payloads) is not bytes:  # zero-copy when already immutable
             payloads = bytes(payloads)
-        self.sink.add_region_batch(
+        self.sink.add(
             RegionBatch(
                 out_coords=C.as_coord_array(out_coords),
                 out_offsets=np.asarray(out_offsets, dtype=np.int64),
@@ -251,10 +257,6 @@ class Operator:
         """One batch pass: each output cell becomes its own region pair."""
         outcells = C.all_coords(output.shape)
         results = [self.map_b_batch(outcells, i) for i in range(self.arity)]
-        if all(counts.size and (counts == 1).all() for _, counts in results):
-            # one-to-one everywhere: reuse the elementwise fast path
-            ctx.lwrite_elementwise(outcells, *[cells for cells, _ in results])
-            return
         n = outcells.shape[0]
         out_offsets = np.arange(n + 1, dtype=np.int64)
         in_offsets = []

@@ -27,7 +27,6 @@ keep loading.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from repro.arrays.coords import expand_ranges
 from repro.errors import StorageError
 from repro.storage import codecs
 from repro.storage import segment as seglib
-from repro.storage import serialize as ser
 
 __all__ = ["HashStore", "BlobStore"]
 
@@ -306,24 +304,8 @@ class HashStore:
 
     @classmethod
     def load(cls, path: str, name: str = "hashstore") -> "HashStore":
-        if seglib.is_segment_file(path):
-            return cls.from_segment(seglib.Segment.open(path), "", name)
-        # legacy pre-segment layout: bare <q count + columns
-        store = cls(name)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot load store file {path!r}: {exc}") from exc
-        (n,) = struct.unpack_from("<q", raw, 0)
-        if n:
-            keys = np.frombuffer(raw, dtype="<i8", count=n, offset=8).astype(np.int64)
-            offsets = np.frombuffer(
-                raw, dtype="<i8", count=n + 1, offset=8 + 8 * n
-            ).astype(np.int64)
-            buf = raw[8 + 8 * n + 8 * (n + 1):]
-            store._segment = _Chunk(keys, offsets, buf)
-        return store
+        """Open a store :meth:`flush`-ed to ``path``."""
+        return cls.from_segment(seglib.Segment.open(path), "", name)
 
     def clear(self) -> None:
         with self._flock:
@@ -339,7 +321,8 @@ class BlobStore:
     the same shape :class:`~repro.storage.codecs.BatchProbe` consumes and
     the segment format persists, so a segment-backed load is a zero-copy
     rehydration (the heap stays an mmap view).  Appends land in a pending
-    list and are joined into the heap lazily.
+    list of ``(buffer, lengths)`` chunks and are joined into the heap
+    lazily, so each append costs its own bytes only.
     """
 
     def __init__(self, name: str = "blobs"):
@@ -347,7 +330,8 @@ class BlobStore:
         self._buf = b""  # any bytes-like; loaded segments pass an mmap view
         self._starts = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
-        self._pending: list[bytes] = []
+        self._pending: list[tuple[bytes, np.ndarray]] = []
+        self._n_pending = 0
         self._probes: dict = {}
         #: ``(segment, prefix, fields)`` when persisted lowered tables are
         #: available but not yet hydrated (lazy per-shard load)
@@ -362,39 +346,27 @@ class BlobStore:
         with self._flock:
             if not self._pending:
                 return
-            lengths = np.asarray([len(b) for b in self._pending], dtype=np.int64)
+            lengths = np.concatenate([lens for _, lens in self._pending])
             base = len(self._buf)
             new_ends = base + np.cumsum(lengths)
-            self._buf = bytes(self._buf) + b"".join(self._pending)
+            self._buf = bytes(self._buf) + b"".join(buf for buf, _ in self._pending)
             self._starts = np.concatenate([self._starts, new_ends - lengths])
             self._ends = np.concatenate([self._ends, new_ends])
             self._pending = []
+            self._n_pending = 0
 
     def append(self, data: bytes) -> int:
-        if type(data) is not bytes:  # zero-copy when already immutable
-            data = bytes(data)
-        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._pending.append(data)
-        self._probes = {}
-        self._probe_source = None
-        return self._ends.size + len(self._pending) - 1
+        return int(self.append_buffer(data, [len(data)])[0])
 
     def append_many(self, blobs: list[bytes]) -> np.ndarray:
-        start = len(self)
-        for blob in blobs:
-            # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-            self._pending.append(bytes(blob))
-        self._probes = {}
-        self._probe_source = None
-        return np.arange(start, len(self), dtype=np.int64)
+        return self.append_buffer(b"".join(blobs), [len(blob) for blob in blobs])
 
     def append_buffer(self, buf, lengths: np.ndarray) -> np.ndarray:
         """Append many blobs at once from one concatenated buffer.
 
         Blob ``i`` spans ``lengths[i]`` bytes starting where blob ``i - 1``
-        ended; returns the assigned ids.  The bulk counterpart of
-        :meth:`append_many` for the deferred-capture write path — one heap
-        extension, no per-blob Python objects.
+        ended; returns the assigned ids.  One pending chunk, no per-blob
+        Python objects (the deferred-capture write path).
         """
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         if (lengths < 0).any():
@@ -403,19 +375,13 @@ class BlobStore:
             raise StorageError("blob lengths do not span the buffer")
         if lengths.size == 0:
             return np.empty(0, dtype=np.int64)
-        with self._flock:
-            self._finalize()
-            base = self._ends.size
-            if not isinstance(self._buf, bytearray):
-                self._buf = bytearray(self._buf)
-            shift = len(self._buf)
-            self._buf += buf
-            ends = shift + np.cumsum(lengths)
-            self._starts = np.concatenate([self._starts, ends - lengths])
-            self._ends = np.concatenate([self._ends, ends])
-            self._probes = {}
-            self._probe_source = None
-            return np.arange(base, base + lengths.size, dtype=np.int64)
+        base = len(self)
+        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
+        self._pending.append((buf if type(buf) is bytes else bytes(buf), lengths))
+        self._n_pending += lengths.size
+        self._probes = {}
+        self._probe_source = None
+        return np.arange(base, base + lengths.size, dtype=np.int64)
 
     def extend_from(self, other: "BlobStore") -> int:
         """Append every blob of ``other``; returns the id *base* — the
@@ -497,23 +463,21 @@ class BlobStore:
         return fields
 
     def get(self, blob_id: int) -> bytes:
+        self._finalize()
         i = int(blob_id)
         if 0 <= i < self._ends.size:
             return bytes(self._buf[int(self._starts[i]): int(self._ends[i])])
-        j = i - self._ends.size
-        if 0 <= j < len(self._pending):
-            return self._pending[j]
         raise StorageError(f"unknown blob id {blob_id}")
 
     def get_many(self, blob_ids: np.ndarray) -> list[bytes]:
         return [self.get(b) for b in np.asarray(blob_ids, dtype=np.int64)]
 
     def __len__(self) -> int:
-        return self._ends.size + len(self._pending)
+        return self._ends.size + self._n_pending
 
     def disk_bytes(self) -> int:
         """Payload plus one offset word per blob."""
-        payload = len(self._buf) + sum(len(b) for b in self._pending)
+        payload = len(self._buf) + sum(len(buf) for buf, _ in self._pending)
         return payload + 8 * len(self)
 
     # -- persistence ---------------------------------------------------------
@@ -563,21 +527,8 @@ class BlobStore:
 
     @classmethod
     def load(cls, path: str, name: str = "blobs") -> "BlobStore":
-        if seglib.is_segment_file(path):
-            return cls.from_segment(seglib.Segment.open(path), "", name)
-        # legacy pre-segment layout: <q count + length-prefixed blobs
-        store = cls(name)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot load store file {path!r}: {exc}") from exc
-        (count,) = struct.unpack_from("<q", raw, 0)
-        offset = 8
-        for _ in range(count):
-            blob, offset = ser.decode_bytes(raw, offset)
-            store.append(blob)
-        return store
+        """Open a blob store :meth:`flush`-ed to ``path``."""
+        return cls.from_segment(seglib.Segment.open(path), "", name)
 
     def clear(self) -> None:
         with self._flock:
@@ -585,6 +536,7 @@ class BlobStore:
             self._starts = np.empty(0, dtype=np.int64)
             self._ends = np.empty(0, dtype=np.int64)
             self._pending = []
+            self._n_pending = 0
             self._probes = {}
             self._probe_source = None
 

@@ -63,8 +63,7 @@ def execute_workflow(
         runtime.prepare_node(node_name, op)
 
         cur_modes = runtime.cur_modes(node_name, op)
-        sink = runtime.make_sink()
-        ctx = LineageContext(cur_modes=cur_modes, sink=sink, node=node_name)
+        ctx = LineageContext(cur_modes=cur_modes, node=node_name)
 
         start = time.perf_counter()
         output = op.run(input_arrays, ctx)
@@ -93,7 +92,7 @@ def execute_workflow(
         produced[node_name] = version.version_id
 
         lineage_seconds = runtime.ingest(
-            node_name, sink, out_shape=op.output_shape, in_shapes=op.input_shapes
+            node_name, ctx.sink, out_shape=op.output_shape, in_shapes=op.input_shapes
         )
         runtime.stats.record_run(
             node_name,

@@ -15,6 +15,7 @@ from repro import SciArray, WorkflowSpec, ops
 from repro.arrays import coords as C
 from repro.core.modes import LineageMode
 from repro.ops.base import Operator
+from repro.storage import codecs
 
 
 class SpotUDF(Operator):
@@ -77,6 +78,12 @@ class SpotUDF(Operator):
         )
         offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
         return ops.dilate_coords(out_coords, offsets, self.input_shapes[0])
+
+
+def full_value(fields) -> bytes:
+    """Reference Full-layout value of one region pair: each input's sorted
+    cell set, codec-encoded, back to back."""
+    return b"".join(codecs.encode_cells(np.sort(arr)) for arr in fields)
 
 
 def build_spot_spec(thresh: float = 0.6, radius: int = 1) -> WorkflowSpec:

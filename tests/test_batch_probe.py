@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from repro.core.lineage_store import (
     RegionEntryTable,
     decode_full_value,
-    encode_full_value,
+    encode_full_values,
 )
 from repro.errors import StorageError
 from repro.storage import codecs
 from repro.storage.codecs import BatchProbe
+from tests.conftest import full_value
 
 
 def arr_of(values) -> np.ndarray:
@@ -131,7 +132,7 @@ class TestRegionEntryTableBatch:
             in0 = np.sort(rng.choice(256, size=rng.integers(1, 9), replace=False))
             in1 = np.arange(j * 3, j * 3 + 5, dtype=np.int64)
             values.append((in0.astype(np.int64), in1))
-            table.add_entry(arr_of([j]), encode_full_value([in0, in1]))
+            table.add_entry(arr_of([j]), full_value([in0, in1]))
         query = np.sort(rng.choice(256, size=24, replace=False)).astype(np.int64)
         for field in (0, 1):
             verdicts = table.batch_probe(field).contains_any(query)
@@ -185,7 +186,7 @@ class TestBlobStoreBatch:
 
         blobs = BlobStore("b")
         in0, in1 = arr_of([1, 2, 3]), arr_of([50, 51])
-        blobs.append(encode_full_value([in0, in1]))
+        blobs.append(full_value([in0, in1]))
         assert blobs.batch_probe(field=0).contains_any(arr_of([2])).tolist() == [True]
         assert blobs.batch_probe(field=1).contains_any(arr_of([2])).tolist() == [False]
         assert blobs.batch_probe(field=1).contains_any(arr_of([51])).tolist() == [True]
@@ -212,7 +213,8 @@ class TestFullValueCrossCodec:
 
     def test_encode_full_value_roundtrip(self):
         fields = list(self.CASES.values())
-        buf = encode_full_value(fields)
+        buf, lengths = encode_full_values(fields, [[0, len(f)] for f in fields])
+        assert buf == full_value(fields) and lengths.tolist() == [len(buf)]
         out = decode_full_value(buf, len(fields))
         for arr, back in zip(fields, out):
             assert back.tolist() == np.sort(arr).tolist()
@@ -220,7 +222,8 @@ class TestFullValueCrossCodec:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_single_field_roundtrip(self, name):
         arr = np.sort(self.CASES[name])
-        out = decode_full_value(encode_full_value([arr]), 1)
+        buf, _ = encode_full_values([arr], [[0, arr.size]])
+        out = decode_full_value(buf, 1)
         assert out[0].tolist() == arr.tolist()
 
     def test_batch_probe_reads_every_tag_in_one_heap(self):

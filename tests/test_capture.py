@@ -35,10 +35,11 @@ from repro import (
 )
 from repro.arrays import coords as C
 from repro.core import lineage_store
-from repro.core.capture import CapturePipeline, DeferredSink
+from repro.core.capture import CapturePipeline
 from repro.core.model import BufferSink
 from repro.core.runtime import LineageRuntime
 from repro.errors import StorageError
+from repro.ops.base import LineageContext
 from repro.storage import segment as segment_mod
 from repro.workflow.executor import execute_workflow
 from tests.conftest import build_spot_spec
@@ -93,14 +94,15 @@ class TestDeferredEagerEquivalence:
         assert answers["deferred"] == answers["eager"]
 
     def test_deferred_runs_use_deferred_sinks(self, rng):
-        """The executor hands out DeferredSink (descriptor parking) in the
-        default capture mode and plain BufferSink in eager mode."""
-        runtime = LineageRuntime(deferred=True)
-        assert isinstance(runtime.make_sink(), DeferredSink)
-        eager = LineageRuntime(deferred=False)
-        sink = eager.make_sink()
-        assert isinstance(sink, BufferSink)
-        assert not isinstance(sink, DeferredSink)
+        """The default capture mode parks each node's sink on the background
+        encode worker; eager mode lowers it inline and never starts one."""
+        image = SciArray.from_numpy(rng.random(SHAPE))
+        deferred = _spot_engine(FULL_MANY_B, image, "deferred")
+        eager = _spot_engine(FULL_MANY_B, image, "eager")
+        assert deferred.runtime._capture.active
+        assert not eager.runtime._capture.active
+        deferred.close()
+        eager.close()
 
     def test_capture_counters_populate(self, rng):
         image = SciArray.from_numpy(rng.random(SHAPE))
@@ -211,33 +213,24 @@ class TestCrashDuringBackgroundEncode:
 class TestBatchOnlyCapture:
     @pytest.fixture
     def pair_counter(self, monkeypatch):
-        """Counts per-pair vs batch sink calls across every sink type."""
-        calls = {"add_pair": 0, "batch": 0}
-        orig_pair = BufferSink.add_pair
-        orig_region = BufferSink.add_region_batch
-        orig_elem = BufferSink.add_elementwise
-        orig_payload = BufferSink.add_payload_batch
+        """Counts calls of the one-pair adapters (``lwrite`` /
+        ``lwrite_payload``) and the batches sinks receive."""
+        calls = {"lwrite": 0, "batch": 0}
+        for name in ("lwrite", "lwrite_payload"):
+            orig = getattr(LineageContext, name)
 
-        def counting_pair(self, pair):
-            calls["add_pair"] += 1
-            return orig_pair(self, pair)
+            def counting_pair(self, *args, _orig=orig, **kwargs):
+                calls["lwrite"] += 1
+                return _orig(self, *args, **kwargs)
 
-        def counting_region(self, batch):
+            monkeypatch.setattr(LineageContext, name, counting_pair)
+        orig_add = BufferSink.add
+
+        def counting_add(self, batch):
             calls["batch"] += 1
-            return orig_region(self, batch)
+            return orig_add(self, batch)
 
-        def counting_elem(self, batch):
-            calls["batch"] += 1
-            return orig_elem(self, batch)
-
-        def counting_payload(self, batch):
-            calls["batch"] += 1
-            return orig_payload(self, batch)
-
-        monkeypatch.setattr(BufferSink, "add_pair", counting_pair)
-        monkeypatch.setattr(BufferSink, "add_region_batch", counting_region)
-        monkeypatch.setattr(BufferSink, "add_elementwise", counting_elem)
-        monkeypatch.setattr(BufferSink, "add_payload_batch", counting_payload)
+        monkeypatch.setattr(BufferSink, "add", counting_add)
         return calls
 
     def test_astronomy_udfs_emit_no_per_pair_calls(self, pair_counter):
@@ -249,7 +242,7 @@ class TestBatchOnlyCapture:
         for udf in UDF_NODES:
             sz.set_strategy(udf, FULL_MANY_B, PAY_ONE_B)
         sz.run(bench.inputs())
-        assert pair_counter["add_pair"] == 0, (
+        assert pair_counter["lwrite"] == 0, (
             "a built-in operator fell back to per-pair emission"
         )
         assert pair_counter["batch"] > 0
@@ -264,7 +257,7 @@ class TestBatchOnlyCapture:
         for udf in UDF_NODES:
             sz.set_strategy(udf, FULL_MANY_B, PAY_ONE_B)
         sz.run(bench.inputs())
-        assert pair_counter["add_pair"] == 0, (
+        assert pair_counter["lwrite"] == 0, (
             "a built-in operator fell back to per-pair emission"
         )
         assert pair_counter["batch"] > 0
@@ -277,6 +270,6 @@ class TestBatchOnlyCapture:
         sz = SubZero(bench.build_spec(), enable_query_opt=False)
         sz.set_strategy("synthetic", FULL_MANY_B)
         sz.run(bench.inputs())
-        assert pair_counter["add_pair"] == 0
+        assert pair_counter["lwrite"] == 0
         assert pair_counter["batch"] > 0
         sz.close()

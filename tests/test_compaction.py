@@ -49,13 +49,13 @@ from repro.arrays.versions import VersionStore
 from repro.core.catalog import StoreCatalog, store_filename
 from repro.core.costmodel import CostModel
 from repro.core.lineage_store import make_store
-from repro.core.model import BufferSink, ElementwiseBatch, RegionPair
 from repro.core.modes import BLACKBOX, MAP
 from repro.core.overlay import OverlayStore
 from repro.core.query import QueryRequest
 from repro.core.runtime import LineageRuntime
 from repro.core.stats import StatsCollector
 from repro.errors import StorageError
+from repro.ops.base import LineageContext
 from repro.storage.segment import (
     SegmentWriter,
     generation_files,
@@ -82,21 +82,19 @@ def _store_from(sink, strategy, node="n"):
 def _sink(seed, n=12):
     """A deterministic elementwise + region-pair sink."""
     rng = np.random.default_rng(seed)
-    sink = BufferSink()
+    ctx = LineageContext(frozenset())
     outs = rng.integers(0, SHAPE[0], size=(n, 1))
     outs = np.concatenate([outs, rng.integers(0, SHAPE[1], size=(n, 1))], axis=1)
     ins = np.concatenate(
         [rng.integers(0, SHAPE[0], size=(n, 1)), rng.integers(0, SHAPE[1], size=(n, 1))],
         axis=1,
     )
-    sink.add_elementwise(ElementwiseBatch(outcells=outs, incells=(ins,)))
-    sink.add_pair(
-        RegionPair(
-            outcells=cells((0, seed % SHAPE[1]), (1, seed % SHAPE[1])),
-            incells=(cells((2, 2), (3, (seed + 3) % SHAPE[1])),),
-        )
+    ctx.lwrite_elementwise(outs, ins)
+    ctx.lwrite(
+        cells((0, seed % SHAPE[1]), (1, seed % SHAPE[1])),
+        cells((2, 2), (3, (seed + 3) % SHAPE[1])),
     )
-    return sink
+    return ctx.sink
 
 
 QUERY = np.arange(SHAPE[0] * SHAPE[1], dtype=np.int64)
@@ -205,11 +203,9 @@ class TestGenerationalCatalog:
         catalog, _ = StoreCatalog.write(str(tmp_path), {key: _store_from(_sink(4), FULL_MANY_B)})
         catalog.close()
         other = make_store("n", FULL_MANY_B, (SHAPE[0] + 1, SHAPE[1]), (SHAPE,))
-        sink = BufferSink()
-        sink.add_elementwise(
-            ElementwiseBatch(outcells=cells((0, 0)), incells=(cells((1, 1)),))
-        )
-        other.ingest(sink)
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_elementwise(cells((0, 0)), cells((1, 1)))
+        other.ingest(ctx.sink)
         with pytest.raises(StorageError, match="delta shapes"):
             StoreCatalog.append(str(tmp_path), {key: other})
 
@@ -769,13 +765,13 @@ class TestFacadeAndCostModel:
     def test_overlay_accounting_sums_generations(self, tmp_path):
         key = ("n", PAY_ONE_B)
         a = make_store("n", PAY_ONE_B, SHAPE, (SHAPE,))
-        sink = BufferSink()
-        sink.add_pair(RegionPair(outcells=cells((1, 1), (1, 2)), payload=b"PP"))
-        a.ingest(sink)
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload(cells((1, 1), (1, 2)), b"PP")
+        a.ingest(ctx.sink)
         b = make_store("n", PAY_ONE_B, SHAPE, (SHAPE,))
-        sink = BufferSink()
-        sink.add_pair(RegionPair(outcells=cells((4, 4)), payload=b"QQ"))
-        b.ingest(sink)
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload(cells((4, 4)), b"QQ")
+        b.ingest(ctx.sink)
         catalog, _ = StoreCatalog.write(str(tmp_path), {key: a})
         catalog.close()
         catalog, _ = StoreCatalog.append(str(tmp_path), {key: b})
@@ -866,12 +862,10 @@ class TestGenerationFilters:
             # one generation owning exactly the packed keys [lo, hi)
             packed = np.arange(lo, hi, dtype=np.int64)
             outs = np.stack(np.unravel_index(packed, shape), axis=1)
-            sink = BufferSink()
-            sink.add_elementwise(
-                ElementwiseBatch(outcells=outs, incells=(outs.copy(),))
-            )
+            ctx = LineageContext(frozenset())
+            ctx.lwrite_elementwise(outs, outs.copy())
             store = make_store("n", FULL_ONE_B, shape, (shape,))
-            store.ingest(sink)
+            store.ingest(ctx.sink)
             return store
 
         catalog, _ = StoreCatalog.write(str(tmp_path), {key: owner(0, 8)})

@@ -83,27 +83,27 @@ class TestCostModel:
         )
 
     def test_record_sink_prices_contiguous_lineage_below_constant(self):
-        """record_sink with shapes prices pairs through int_array_nbytes;
+        """record_sink with shapes prices pairs through cells_nbytes;
         contiguous regions interval-code far below 9 bytes/cell."""
-        from repro.core.model import BufferSink, RegionPair
+        from repro.ops.base import LineageContext
 
         shape = (32, 32)
-        sink = BufferSink()
+        ctx = LineageContext(frozenset())
         for row in range(8):
             block = np.stack(
                 [np.full(32, row, dtype=np.int64), np.arange(32, dtype=np.int64)],
                 axis=1,
             )
-            sink.add_pair(RegionPair(outcells=block[:1], incells=(block,)))
+            ctx.lwrite(block[:1], block)
         stats = StatsCollector()
-        stats.record_sink("conv", sink, out_shape=shape, in_shapes=(shape,))
+        stats.record_sink("conv", ctx.sink, out_shape=shape, in_shapes=(shape,))
         s = stats.get("conv")
         assert s.enc_in_bytes > 0
         assert s.enc_in_bytes_per_cell < 2.0  # 32-cell runs: ~0.5 bytes/cell
         assert s.enc_out_bytes_per_cell == 12.0  # singleton layout per pair
         # a later shape-less record_sink overwrites the denominators; the
         # codec samples must reset rather than describe the previous sink
-        stats.record_sink("conv", sink)
+        stats.record_sink("conv", ctx.sink)
         assert stats.get("conv").enc_in_bytes == 0
         assert stats.get("conv").enc_in_bytes_per_cell is None
 

@@ -561,20 +561,10 @@ class TestRequestRoundTrip:
             assert structural <= set(canon["steps"][0])
 
 
-# -- deprecated kwargs shim ----------------------------------------------------
+# -- query entry points --------------------------------------------------------
 
 
 class TestDeprecatedOverrides:
-    def test_overrides_warn_and_still_apply(self, flushed):
-        with _resume_engine(flushed) as sz:
-            request = QueryRequest.backward([(5, 5)], ["s2", "s1"], entire_array=False)
-            expected = canonical_result(sz.query(request).to_dict())
-            with pytest.warns(DeprecationWarning, match="entire_array=False"):
-                legacy = sz.backward_query(
-                    [(5, 5)], ["s2", "s1"], enable_entire_array=False
-                )
-            assert canonical_result(legacy.to_dict()) == expected
-
     def test_unknown_override_raises_type_error(self, flushed):
         with _resume_engine(flushed) as sz:
             with pytest.raises(TypeError, match="unexpected keyword"):

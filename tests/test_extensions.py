@@ -6,6 +6,7 @@ import pytest
 
 from repro import FULL_ONE_B, SciArray, SubZero, VersionStore, WorkflowSpec, ops
 from repro.core.costmodel import CostConstants
+from repro.core.query import QueryRequest
 from repro.core.runtime import LineageRuntime
 from repro.core.stats import StatsCollector
 from repro.errors import WorkflowError
@@ -60,12 +61,12 @@ class TestPathInference:
         sz = SubZero(build_spot_spec())
         sz.use_mapping_where_possible()
         sz.run({"img": image})
-        auto = sz.trace_back([(4, 4)], "scale", "img")
+        auto = sz.query(QueryRequest.backward([(4, 4)], start="scale", end="img"))
         manual = sz.backward_query(
             [(4, 4)], [("scale", 0), ("spot", 0), ("smooth", 0)]
         )
         assert {tuple(c) for c in auto.coords} == {tuple(c) for c in manual.coords}
-        fwd = sz.trace_forward([(4, 4)], "img", "scale")
+        fwd = sz.query(QueryRequest.forward([(4, 4)], start="img", end="scale"))
         assert (4, 4) in {tuple(c) for c in fwd.coords} or fwd.count > 0
 
 
@@ -75,7 +76,7 @@ class TestExplain:
         sz.use_mapping_where_possible()
         sz.set_strategy("spot", FULL_ONE_B)
         sz.run({"img": image})
-        result = sz.trace_back([(4, 4)], "scale", "img")
+        result = sz.query(QueryRequest.backward([(4, 4)], start="scale", end="img"))
         text = result.explain()
         assert "3 steps" in text
         assert "<-FullOne" in text

@@ -1,4 +1,4 @@
-"""Unit + property tests for region pairs, sinks, frontiers, query objects."""
+"""Unit + property tests for region batches, sinks, frontiers, query objects."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import (
-    BufferSink,
     Direction,
-    ElementwiseBatch,
     Frontier,
     LineageQuery,
-    PayloadBatch,
     QueryStep,
-    RegionPair,
+    RegionBatch,
 )
 from repro.core.modes import (
     BLACKBOX,
@@ -25,6 +22,7 @@ from repro.core.modes import (
     StorageStrategy,
 )
 from repro.errors import LineageError, QueryError
+from repro.ops.base import LineageContext
 
 
 def cells(*coords):
@@ -32,64 +30,85 @@ def cells(*coords):
 
 
 class TestRegionPair:
+    """A single pair is a one-row batch built by the ``lwrite`` adapters."""
+
     def test_full_pair(self):
-        pair = RegionPair(outcells=cells((0, 0), (0, 1)), incells=(cells((1, 1)),))
-        assert pair.fanout == 2
-        assert pair.fanin(0) == 1
-        assert not pair.is_payload
+        ctx = LineageContext(frozenset())
+        ctx.lwrite(cells((0, 0), (0, 1)), cells((1, 1)))
+        (batch,) = ctx.sink.batches
+        assert batch.count == 1 and batch.arity == 1
+        assert len(batch.out_coords) == 2
+        assert batch.in_offsets[0].tolist() == [0, 1]
+        assert not batch.is_payload and not batch.unit
 
     def test_payload_pair(self):
-        pair = RegionPair(outcells=cells((0, 0)), payload=b"x")
-        assert pair.is_payload
-        with pytest.raises(LineageError):
-            pair.fanin(0)
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload(cells((0, 0)), b"x")
+        (batch,) = ctx.sink.batches
+        assert batch.is_payload and batch.unit
+        assert batch.payloads == b"x" and batch.arity == 0
 
     def test_exactly_one_of_incells_payload(self):
         with pytest.raises(LineageError):
-            RegionPair(outcells=cells((0, 0)))
+            LineageContext(frozenset()).lwrite(cells((0, 0)))
         with pytest.raises(LineageError):
-            RegionPair(outcells=cells((0, 0)), incells=(cells((0, 0)),), payload=b"x")
+            RegionBatch(
+                out_coords=cells((0, 0)),
+                out_offsets=np.asarray([0, 1]),
+                in_coords=(cells((0, 0)),),
+                in_offsets=(np.asarray([0, 1]),),
+                payloads=b"x",
+                payload_offsets=np.asarray([0, 1]),
+            )
 
     def test_needs_outcells(self):
         with pytest.raises(LineageError):
-            RegionPair(outcells=np.empty((0, 2), dtype=np.int64), payload=b"x")
+            LineageContext(frozenset()).lwrite_payload(
+                np.empty((0, 2), dtype=np.int64), b"x"
+            )
 
 
 class TestBatches:
     def test_elementwise_alignment(self):
+        ctx = LineageContext(frozenset())
         with pytest.raises(LineageError):
-            ElementwiseBatch(outcells=cells((0, 0)), incells=(cells((0, 0), (1, 1)),))
+            ctx.lwrite_elementwise(cells((0, 0)), cells((0, 0), (1, 1)))
 
     def test_payload_batch_ndarray(self):
-        batch = PayloadBatch(
-            outcells=cells((0, 0), (1, 1)),
-            payloads=np.zeros((2, 4), dtype=np.uint8),
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload_batch(
+            cells((0, 0), (1, 1)), np.zeros((2, 4), dtype=np.uint8)
         )
-        assert batch.count == 2
-        assert batch.payload_at(0) == b"\x00" * 4
+        (batch,) = ctx.sink.batches
+        assert batch.count == 2 and batch.unit
+        assert batch.payloads[: batch.payload_offsets[1]] == b"\x00" * 4
 
     def test_payload_batch_list(self):
-        batch = PayloadBatch(outcells=cells((0, 0)), payloads=[b"ab"])
-        assert batch.payload_at(0) == b"ab"
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload_batch(cells((0, 0), (1, 1)), [b"ab", b"c"])
+        (batch,) = ctx.sink.batches
+        assert batch.payloads == b"abc"
+        assert batch.payload_offsets.tolist() == [0, 2, 3]
 
     def test_payload_batch_misaligned(self):
         with pytest.raises(LineageError):
-            PayloadBatch(outcells=cells((0, 0)), payloads=[b"a", b"b"])
+            LineageContext(frozenset()).lwrite_payload_batch(
+                cells((0, 0)), [b"a", b"b"]
+            )
 
 
 class TestBufferSink:
     def test_counts(self):
-        sink = BufferSink()
-        sink.add_pair(RegionPair(outcells=cells((0, 0)), incells=(cells((1, 1)),)))
-        sink.add_elementwise(
-            ElementwiseBatch(outcells=cells((0, 0), (1, 1)), incells=(cells((0, 0), (1, 1)),))
+        ctx = LineageContext(frozenset())
+        ctx.lwrite(cells((0, 0)), cells((1, 1)))
+        ctx.lwrite_elementwise(cells((0, 0), (1, 1)), cells((0, 0), (1, 1)))
+        ctx.lwrite_payload_batch(cells((2, 2)), [b"p"])
+        # as many input cells as pairs, but not one each: not one-to-one
+        ctx.lwrite_batch(
+            cells((0, 0), (1, 1)), [0, 1, 2], [cells((0, 0), (0, 1))], [[0, 2, 2]]
         )
-        sink.add_payload_batch(
-            PayloadBatch(outcells=cells((2, 2)), payloads=[b"p"])
-        )
-        assert sink.n_pairs == 4
-        sink.clear()
-        assert sink.n_pairs == 0
+        assert ctx.sink.n_pairs == 6
+        assert [batch.unit for batch in ctx.sink.batches] == [True, True, True, False]
 
 
 class TestFrontier:

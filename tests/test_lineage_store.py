@@ -9,11 +9,11 @@ from repro.arrays import coords as C
 from repro.core.lineage_store import (
     RegionEntryTable,
     decode_full_value,
-    encode_full_value,
+    encode_full_values,
     encode_singleton_int_arrays,
     make_store,
 )
-from repro.core.model import BufferSink, ElementwiseBatch, PayloadBatch, RegionPair
+from repro.core.model import BufferSink
 from repro.core.modes import (
     BLACKBOX,
     COMP_ONE_B,
@@ -26,7 +26,9 @@ from repro.core.modes import (
     PAY_ONE_B,
 )
 from repro.errors import LineageError, StorageError
-from repro.storage import serialize as ser
+from repro.ops.base import LineageContext
+from repro.storage import codecs
+from tests.conftest import full_value
 
 OUT_SHAPE = (6, 8)
 IN_SHAPES = ((6, 8),)
@@ -41,34 +43,21 @@ def pk(*coords):
 
 
 def make_sink() -> BufferSink:
-    """Two general pairs + one elementwise batch + payload rows."""
-    sink = BufferSink()
-    sink.add_pair(
-        RegionPair(
-            outcells=cells((0, 0), (0, 1)),
-            incells=(cells((1, 1), (1, 2), (2, 2)),),
-        )
-    )
-    sink.add_pair(RegionPair(outcells=cells((5, 5)), incells=(cells((5, 5)),)))
-    sink.add_elementwise(
-        ElementwiseBatch(
-            outcells=cells((3, 3), (3, 4)),
-            incells=(cells((3, 3), (3, 4)),),
-        )
-    )
-    return sink
+    """Two single pairs (one region, one one-to-one) + one elementwise batch."""
+    ctx = LineageContext(frozenset())
+    ctx.lwrite(cells((0, 0), (0, 1)), cells((1, 1), (1, 2), (2, 2)))
+    ctx.lwrite(cells((5, 5)), cells((5, 5)))
+    ctx.lwrite_elementwise(cells((3, 3), (3, 4)), cells((3, 3), (3, 4)))
+    return ctx.sink
 
 
 def make_payload_sink() -> BufferSink:
-    sink = BufferSink()
-    sink.add_pair(RegionPair(outcells=cells((0, 0), (0, 1)), payload=b"AA"))
-    sink.add_payload_batch(
-        PayloadBatch(
-            outcells=cells((3, 3), (4, 4)),
-            payloads=np.asarray([[1], [2]], dtype=np.uint8),
-        )
+    ctx = LineageContext(frozenset())
+    ctx.lwrite_payload(cells((0, 0), (0, 1)), b"AA")
+    ctx.lwrite_payload_batch(
+        cells((3, 3), (4, 4)), np.asarray([[1], [2]], dtype=np.uint8)
     )
-    return sink
+    return ctx.sink
 
 
 class TestSingletonEncoding:
@@ -76,7 +65,7 @@ class TestSingletonEncoding:
         values = np.asarray([0, 7, 123456, 2**40])
         rows = encode_singleton_int_arrays(values)
         for row, v in zip(rows, values):
-            assert row.tobytes() == ser.encode_int_array(np.asarray([v]))
+            assert row.tobytes() == codecs.encode_cells(np.asarray([v]))
 
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -89,15 +78,15 @@ class TestSingletonEncoding:
         rows = encode_singleton_int_arrays(arr)
         assert rows.shape == (arr.size, 12)
         for row, v in zip(rows, arr):
-            scalar = ser.encode_int_array(np.asarray([v], dtype=np.int64))
+            scalar = codecs.encode_cells(np.asarray([v], dtype=np.int64))
             assert len(scalar) == 12
             assert row.tobytes() == scalar
-            decoded, pos = ser.decode_int_array(row.tobytes())
+            decoded, pos = codecs.decode_cells(row.tobytes())
             assert decoded.tolist() == [v] and pos == 12
 
     def test_full_value_roundtrip(self):
         per_input = [np.asarray([3, 1, 2]), np.asarray([9])]
-        buf = encode_full_value(per_input)
+        buf, _ = encode_full_values(per_input, [[0, 3], [0, 1]])
         out = decode_full_value(buf, 2)
         assert out[0].tolist() == [1, 2, 3]  # sorted on encode
         assert out[1].tolist() == [9]
@@ -125,7 +114,7 @@ class TestRegionEntryTable:
         table = RegionEntryTable(OUT_SHAPE)
         keys = pk((1, 1), (2, 2), (3, 3))
         lengths = np.asarray([1, 1, 1], dtype=np.int64)
-        table.add_singleton_entries(keys, b"abc", lengths)
+        table.add_entries(keys, np.ones(3, dtype=np.int64), b"abc", lengths)
         assert table.n_entries == 3
         assert table.entry_value(int(table.candidate_entries(cells((2, 2)))[0])) in (
             b"a", b"b", b"c",
@@ -134,7 +123,7 @@ class TestRegionEntryTable:
     def test_singleton_validation(self):
         table = RegionEntryTable(OUT_SHAPE)
         with pytest.raises(StorageError):
-            table.add_singleton_entries(pk((1, 1)), b"ab", np.asarray([1]))
+            table.add_entries(pk((1, 1)), [1], b"ab", np.asarray([1]))
 
     def test_empty_entry_rejected(self):
         table = RegionEntryTable(OUT_SHAPE)
@@ -159,7 +148,7 @@ class TestRegionEntryTable:
 
     def test_all_singleton_keys(self):
         table = RegionEntryTable(OUT_SHAPE)
-        table.add_singleton_entries(pk((1, 1)), b"x", np.asarray([1]))
+        table.add_entries(pk((1, 1)), [1], b"x", np.asarray([1]))
         assert table.all_singleton_keys() is not None
         table.add_entry(pk((2, 2), (3, 3)), b"y")
         assert table.all_singleton_keys() is None
@@ -170,8 +159,8 @@ class TestRegionEntryTable:
         table = RegionEntryTable(OUT_SHAPE)
         cells_a = np.sort(pk((1, 1), (1, 2), (1, 3)))
         cells_b = np.sort(pk((4, 0), (5, 7)))
-        table.add_entry(pk((0, 0)), ser.encode_int_array(cells_a))
-        table.add_entry(pk((2, 2)), ser.encode_int_array(cells_b))
+        table.add_entry(pk((0, 0)), codecs.encode_cells(cells_a))
+        table.add_entry(pk((2, 2)), codecs.encode_cells(cells_b))
         query = np.sort(pk((1, 2), (5, 7)))
         assert table.value_contains_any(0, query)
         assert table.value_contains_any(1, query)
@@ -185,7 +174,7 @@ class TestRegionEntryTable:
         table = RegionEntryTable(OUT_SHAPE)
         in0 = np.sort(pk((0, 1), (0, 2)))
         in1 = np.sort(pk((3, 3)))
-        table.add_entry(pk((5, 5)), encode_full_value([in0, in1]))
+        table.add_entry(pk((5, 5)), full_value([in0, in1]))
         assert table.value_contains_any(0, in0, field=0)
         assert not table.value_contains_any(0, in0, field=1)
         assert table.value_contains_any(0, in1, field=1)
@@ -195,20 +184,20 @@ class TestRegionEntryTable:
         """A field index past the entry's own value must fail loudly, not
         silently probe the next entry's bytes."""
         table = RegionEntryTable(OUT_SHAPE)
-        table.add_entry(pk((0, 0)), ser.encode_int_array(np.sort(pk((1, 1)))))
-        table.add_entry(pk((2, 2)), ser.encode_int_array(np.sort(pk((3, 3)))))
+        table.add_entry(pk((0, 0)), codecs.encode_cells(np.sort(pk((1, 1)))))
+        table.add_entry(pk((2, 2)), codecs.encode_cells(np.sort(pk((3, 3)))))
         with pytest.raises(StorageError):
             table.value_contains_any(0, np.sort(pk((3, 3))), field=1)
 
     def test_probe_rejects_value_overrunning_entry(self):
         """A value whose header claims more payload than the entry holds
         (bit rot after load) must raise, not read the next entry's bytes."""
-        good = ser.encode_int_array(np.sort(pk((1, 1), (1, 2))))
+        good = codecs.encode_cells(np.sort(pk((1, 1), (1, 2))))
         overstated = bytearray(good)
         overstated[2] = 9  # inflate the cell count past the payload
         table = RegionEntryTable(OUT_SHAPE)
         table.add_entry(pk((0, 0)), bytes(overstated))
-        table.add_entry(pk((2, 2)), ser.encode_int_array(np.sort(pk((3, 3)))))
+        table.add_entry(pk((2, 2)), codecs.encode_cells(np.sort(pk((3, 3)))))
         with pytest.raises(StorageError):
             table.value_contains_any(0, np.sort(pk((1, 1))))
 
@@ -258,7 +247,8 @@ class TestFullBackwardStores:
         store = make_store("n", FULL_ONE_B, OUT_SHAPE, IN_SHAPES)
         store.ingest(make_sink())
         assert store.disk_bytes() > 0
-        assert store.n_entries == 5  # 3 hash keys for pairs + 2 elementwise
+        # 2 ref keys for the region pair + 3 inlined one-to-one cells
+        assert store.n_entries == 5
 
 
 class TestFullForwardStores:
@@ -324,9 +314,9 @@ class TestPayloadStores:
 
     def test_payone_duplicates_payload_per_cell(self):
         store = make_store("n", PAY_ONE_B, OUT_SHAPE, IN_SHAPES)
-        sink = BufferSink()
-        sink.add_pair(RegionPair(outcells=cells((0, 0), (0, 1), (0, 2)), payload=b"PPPP"))
-        store.ingest(sink)
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload(cells((0, 0), (0, 1), (0, 2)), b"PPPP")
+        store.ingest(ctx.sink)
         # 3 keys * (8 bytes + 4-byte payload copy)
         assert store.disk_bytes() == 3 * 12
 

@@ -54,22 +54,17 @@ def _fixed_sink(seed=0):
     """A small deterministic sink + query for the non-property tests
     (the Hypothesis property owns the randomised coverage)."""
     from repro.arrays import coords as C
-    from repro.core.model import BufferSink, RegionPair
+    from repro.ops.base import LineageContext
 
     gen = np.random.default_rng(seed)
-    sink = BufferSink()
+    ctx = LineageContext(frozenset())
     size = SHAPE[0] * SHAPE[1]
     for _ in range(3):
         outs = np.unique(gen.integers(0, size, 3).astype(np.int64))
         ins = np.unique(gen.integers(0, size, 5).astype(np.int64))
-        sink.add_pair(
-            RegionPair(
-                outcells=C.unpack_coords(outs, SHAPE),
-                incells=(C.unpack_coords(ins, SHAPE),),
-            )
-        )
+        ctx.lwrite(C.unpack_coords(outs, SHAPE), C.unpack_coords(ins, SHAPE))
     query = np.unique(gen.integers(0, size, 6).astype(np.int64))
-    return sink, query
+    return ctx.sink, query
 
 
 def _filled_stores(strategy, sink):

@@ -19,8 +19,8 @@ from repro import (
 )
 from repro.arrays import coords as C
 from repro.core.lineage_store import RegionEntryTable, make_store
-from repro.core.model import BufferSink, ElementwiseBatch, PayloadBatch, RegionPair
 from repro.core.runtime import LineageRuntime
+from repro.ops.base import LineageContext
 from repro.workflow.executor import execute_workflow
 from tests.conftest import build_spot_spec
 
@@ -32,23 +32,17 @@ def cells(*coords):
 
 
 def populated_sink():
-    sink = BufferSink()
-    sink.add_pair(
-        RegionPair(outcells=cells((0, 0), (0, 1)), incells=(cells((2, 2), (3, 3)),))
-    )
-    sink.add_elementwise(
-        ElementwiseBatch(outcells=cells((5, 5), (6, 6)), incells=(cells((5, 5), (6, 6)),))
-    )
-    return sink
+    ctx = LineageContext(frozenset())
+    ctx.lwrite(cells((0, 0), (0, 1)), cells((2, 2), (3, 3)))
+    ctx.lwrite_elementwise(cells((5, 5), (6, 6)), cells((5, 5), (6, 6)))
+    return ctx.sink
 
 
 def payload_sink():
-    sink = BufferSink()
-    sink.add_pair(RegionPair(outcells=cells((1, 1), (1, 2)), payload=b"PP"))
-    sink.add_payload_batch(
-        PayloadBatch(outcells=cells((4, 4)), payloads=np.asarray([[7]], dtype=np.uint8))
-    )
-    return sink
+    ctx = LineageContext(frozenset())
+    ctx.lwrite_payload(cells((1, 1), (1, 2)), b"PP")
+    ctx.lwrite_payload_batch(cells((4, 4)), np.asarray([[7]], dtype=np.uint8))
+    return ctx.sink
 
 
 class TestRegionEntryTableRoundtrip:
@@ -85,11 +79,9 @@ class TestRegionEntryTableRoundtrip:
         path = str(tmp_path / "legacy.bin")
         table.flush(path)
 
-        from repro.storage import serialize as ser
-
         loaded = RegionEntryTable.load(path, SHAPE)
         assert loaded.entry_value(0) == legacy_value
-        decoded, _ = ser.decode_int_array(loaded.entry_value(0))
+        decoded, _ = codecs.decode_cells(loaded.entry_value(0))
         assert (decoded == in_cells).all()
         assert loaded.value_contains_any(0, in_cells[:1])
         assert loaded.value_bounds(0) == (int(in_cells[0]), int(in_cells[-1]), 3)

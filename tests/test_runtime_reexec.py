@@ -164,20 +164,42 @@ class TestReExecutor:
 
     def test_comp_tracing_applies_defaults(self, image):
         """Re-running a COMP-only operator must fill unmatched cells with
-        the mapping default."""
+        the mapping default, and expand its payload pairs exactly — whether
+        they come one cell each (``lwrite_payload_batch``) or as multi-cell
+        regions (``lwrite_payload``)."""
 
         class CompOnly(SpotUDF):
             def supported_modes(self):
                 return frozenset({LineageMode.COMP, LineageMode.BLACKBOX})
 
-        spec = WorkflowSpec(name="comp")
-        spec.add_source("img")
-        spec.add_node("spot", CompOnly(thresh=0.8), ["img"])
-        instance = execute_workflow(spec, {"img": image})
-        reexec = ReExecutor(instance)
-        # a cold cell: default identity lineage
-        labels = instance.output_array("spot").values()
-        cold = np.stack(np.nonzero(labels < 0.5), axis=1)[0]
-        q = C.pack_coords(cold.reshape(1, -1), instance.output_shape("spot"))
-        got = reexec.trace_backward("spot", q, 0)
-        assert got.tolist() == q.tolist()
+        class RegionComp(CompOnly):
+            def write_lineage(self, inputs, output, ctx):
+                mask = output.values() > 0.5
+                for row in np.unique(np.nonzero(mask)[0]):
+                    cols = np.nonzero(mask[row])[0]
+                    region = np.stack([np.full_like(cols, row), cols], axis=1)
+                    ctx.lwrite_payload(region, bytes([self.radius]))
+
+        for op in (CompOnly(thresh=0.8), RegionComp(thresh=0.8)):
+            spec = WorkflowSpec(name="comp")
+            spec.add_source("img")
+            spec.add_node("spot", op, ["img"])
+            instance = execute_workflow(spec, {"img": image})
+            reexec = ReExecutor(instance)
+            shape = instance.output_shape("spot")
+            # a cold cell: default identity lineage
+            labels = instance.output_array("spot").values()
+            cold = np.stack(np.nonzero(labels < 0.5), axis=1)[0]
+            q = C.pack_coords(cold.reshape(1, -1), shape)
+            got = reexec.trace_backward("spot", q, 0)
+            assert got.tolist() == q.tolist()
+            # a hot cell: exactly its own payload neighbourhood, backward;
+            # and forward from it, every hot cell whose neighbourhood holds it
+            hot = np.stack(np.nonzero(labels > 0.5), axis=1)
+            q = C.pack_coords(hot[:1], shape)
+            near = (np.abs(np.indices(shape) - hot[0][:, None, None]) <= 1).all(axis=0)
+            got = reexec.trace_backward("spot", q, 0)
+            assert set(got.tolist()) == set(C.pack_coords(np.argwhere(near), shape).tolist())
+            want = hot[(np.abs(hot - hot[0]) <= 1).all(axis=1)]
+            fwd = reexec.trace_forward("spot", q, 0)
+            assert set(fwd.tolist()) == set(C.pack_coords(want, shape).tolist())

@@ -36,10 +36,10 @@ from repro.arrays import coords as C
 from repro.arrays.versions import VersionStore
 from repro.core.catalog import StoreCatalog
 from repro.core.lineage_store import RegionEntryTable, make_store
-from repro.core.model import BufferSink, ElementwiseBatch, RegionPair
 from repro.core.runtime import LineageRuntime
 from repro.core.subzero import SubZero
 from repro.errors import StorageError
+from repro.ops.base import LineageContext
 from repro.storage import codecs
 from repro.storage.rtree import RTree
 from repro.storage.segment import Segment, SegmentWriter, is_segment_file
@@ -145,8 +145,8 @@ class TestSegmentContainer:
 
 @st.composite
 def sinks(draw):
-    """A random mix of general region pairs and an elementwise batch."""
-    sink = BufferSink()
+    """A random mix of single region pairs and an elementwise batch."""
+    ctx = LineageContext(frozenset())
     for _ in range(draw(st.integers(0, 5))):
         n_out = draw(st.integers(1, 4))
         n_in = draw(st.integers(1, 6))
@@ -162,12 +162,7 @@ def sinks(draw):
                 dtype=np.int64,
             )
         )
-        sink.add_pair(
-            RegionPair(
-                outcells=C.unpack_coords(outs, SHAPE),
-                incells=(C.unpack_coords(ins, SHAPE),),
-            )
-        )
+        ctx.lwrite(C.unpack_coords(outs, SHAPE), C.unpack_coords(ins, SHAPE))
     n_elem = draw(st.integers(0, 8))
     if n_elem:
         eouts = np.asarray(
@@ -178,14 +173,11 @@ def sinks(draw):
             draw(st.lists(st.integers(0, SIZE - 1), min_size=n_elem, max_size=n_elem)),
             dtype=np.int64,
         )
-        sink.add_elementwise(
-            ElementwiseBatch(
-                outcells=C.unpack_coords(eouts, SHAPE),
-                incells=(C.unpack_coords(eins, SHAPE),),
-            )
+        ctx.lwrite_elementwise(
+            C.unpack_coords(eouts, SHAPE), C.unpack_coords(eins, SHAPE)
         )
     query = draw(st.lists(st.integers(0, SIZE - 1), min_size=1, max_size=10))
-    return sink, np.unique(np.asarray(query, dtype=np.int64))
+    return ctx.sink, np.unique(np.asarray(query, dtype=np.int64))
 
 
 def _answers(store, strategy, query):
@@ -250,14 +242,12 @@ class TestStoreSegmentCorruption:
     @pytest.mark.parametrize("strategy", [FULL_ONE_B, FULL_MANY_B], ids=lambda s: s.label)
     def test_truncated_store_segment_fails_loudly(self, tmp_path, strategy):
         store = make_store("n", strategy, SHAPE, (SHAPE,))
-        sink = BufferSink()
-        sink.add_pair(
-            RegionPair(
-                outcells=np.asarray([(0, 0), (0, 1)], dtype=np.int64),
-                incells=(np.asarray([(2, 2), (3, 3)], dtype=np.int64),),
-            )
+        ctx = LineageContext(frozenset())
+        ctx.lwrite(
+            np.asarray([(0, 0), (0, 1)], dtype=np.int64),
+            np.asarray([(2, 2), (3, 3)], dtype=np.int64),
         )
-        store.ingest(sink)
+        store.ingest(ctx.sink)
         path = str(tmp_path / "store.seg")
         store.flush_segment(path)
         raw = open(path, "rb").read()
@@ -418,15 +408,12 @@ class TestSegmentIdentityCheck:
     def test_wrong_store_segment_refused(self, tmp_path):
         """A segment holding a different (node, strategy) must not silently
         hydrate — crc checks cannot catch a consistent-but-wrong file."""
-        sink = BufferSink()
-        sink.add_elementwise(
-            ElementwiseBatch(
-                outcells=np.asarray([(1, 1)], dtype=np.int64),
-                incells=(np.asarray([(2, 2)], dtype=np.int64),),
-            )
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_elementwise(
+            np.asarray([(1, 1)], dtype=np.int64), np.asarray([(2, 2)], dtype=np.int64)
         )
         store = make_store("a", FULL_ONE_B, SHAPE, (SHAPE,))
-        store.ingest(sink)
+        store.ingest(ctx.sink)
         path = str(tmp_path / "a.seg")
         store.flush_segment(path)
         wrong_node = make_store("b", FULL_ONE_B, SHAPE, (SHAPE,))
@@ -437,56 +424,20 @@ class TestSegmentIdentityCheck:
             wrong_strategy.load_segment(path)
 
 
-class TestLegacyManifestFallback:
-    def test_pre_segment_flush_directory_still_loads(self, tmp_path):
-        """A directory flushed before the segmented format — manifest.json
-        plus per-component bare .bin files — still serves eagerly."""
-        import json
-        import struct
-
-        from repro.storage import serialize as ser
-
-        sink = BufferSink()
-        sink.add_elementwise(
-            ElementwiseBatch(
-                outcells=np.asarray([(1, 1), (2, 3)], dtype=np.int64),
-                incells=(np.asarray([(4, 4), (5, 5)], dtype=np.int64),),
-            )
-        )
-        live = make_store("n", FULL_ONE_B, SHAPE, (SHAPE,))
-        live.ingest(sink)
-        q = C.pack_coords(np.asarray([(1, 1), (2, 3)], dtype=np.int64), SHAPE)
-        want = _answers(live, FULL_ONE_B, np.sort(q))
-
-        # write the OLD layout by hand: bare-format component files
+class TestLegacyLayoutRefused:
+    def test_pre_segment_flush_directory_is_refused(self, tmp_path):
+        """A directory in the pre-segment layout — manifest.json plus
+        per-component bare .bin files, no catalog.json — is not a lineage
+        catalog: loading it fails with a typed error, not a crash."""
         sub = tmp_path / "n__Full__One__backward"
         sub.mkdir()
-        for name, comp in live._components().items():
-            with open(sub / f"{name}.bin", "wb") as fh:
-                if hasattr(comp, "columns"):  # HashStore
-                    keys, offsets, buf = comp.columns()
-                    fh.write(struct.pack("<q", keys.size))
-                    if keys.size:
-                        fh.write(keys.astype("<i8").tobytes())
-                        fh.write(offsets.astype("<i8").tobytes())
-                        fh.write(bytes(buf))
-                else:  # BlobStore
-                    fh.write(struct.pack("<q", len(comp)))
-                    for i in range(len(comp)):
-                        fh.write(ser.encode_bytes(comp.get(i)))
-        manifest = [
-            {
-                "node": "n", "mode": "Full", "encoding": "One",
-                "orientation": "backward", "out_shape": list(SHAPE),
-                "in_shapes": [list(SHAPE)], "dir": "n__Full__One__backward",
-            }
-        ]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-
-        runtime = LineageRuntime()
-        assert runtime.load_all(str(tmp_path)) == 1
-        loaded = runtime.store_for("n", FULL_ONE_B)
-        assert _answers(loaded, FULL_ONE_B, np.sort(q)) == want
+        (sub / "refs.bin").write_bytes(b"\x00" * 8)
+        (tmp_path / "manifest.json").write_text(
+            '[{"node": "n", "mode": "Full", "encoding": "One", '
+            '"orientation": "backward", "dir": "n__Full__One__backward"}]'
+        )
+        with pytest.raises(StorageError, match="no lineage catalog"):
+            LineageRuntime().load_all(str(tmp_path))
 
 
 # -- batch convergence riders -------------------------------------------------
@@ -603,22 +554,14 @@ class TestLoweringTicksPerBatch:
 class TestPayloadColumnarScan:
     @pytest.mark.parametrize("strategy", [PAY_ONE_B, PAY_MANY_B], ids=lambda s: s.label)
     def test_columns_reconstruct_every_entry(self, strategy, rng):
-        from repro.core.model import PayloadBatch
-
         store = make_store("n", strategy, SHAPE, (SHAPE,))
-        sink = BufferSink()
-        sink.add_pair(
-            RegionPair(
-                outcells=np.asarray([(1, 1), (1, 2)], dtype=np.int64), payload=b"PP"
-            )
+        ctx = LineageContext(frozenset())
+        ctx.lwrite_payload(np.asarray([(1, 1), (1, 2)], dtype=np.int64), b"PP")
+        ctx.lwrite_payload_batch(
+            np.asarray([(4, 4), (5, 5)], dtype=np.int64),
+            np.asarray([[7], [9]], dtype=np.uint8),
         )
-        sink.add_payload_batch(
-            PayloadBatch(
-                outcells=np.asarray([(4, 4), (5, 5)], dtype=np.int64),
-                payloads=np.asarray([[7], [9]], dtype=np.uint8),
-            )
-        )
-        store.ingest(sink)
+        store.ingest(ctx.sink)
         keys, koff, vbuf, voff = store.payload_entries()
         rebuilt = []
         for e in range(koff.size - 1):

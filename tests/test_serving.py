@@ -348,15 +348,13 @@ class TestShardedSegments:
 
     def test_sharded_write_layout_and_lazy_shard_open(self, tmp_path):
         store = make_store("n", FULL_MANY_B, SHAPE, (SHAPE,))
-        from repro.core.model import BufferSink, ElementwiseBatch
+        from repro.ops.base import LineageContext
 
-        sink = BufferSink()
+        ctx = LineageContext(frozenset())
         rng = np.random.default_rng(2)
         cells = rng.integers(0, 9, size=(200, 2))
-        sink.add_elementwise(
-            ElementwiseBatch(outcells=cells, incells=(cells[::-1].copy(),))
-        )
-        store.ingest(sink)
+        ctx.lwrite_elementwise(cells, cells[::-1].copy())
+        store.ingest(ctx.sink)
         path = str(tmp_path / "store.seg")
         store.flush_segment(path, shard_threshold_bytes=512)
         files = segment_files(path)

@@ -13,77 +13,99 @@ from hypothesis import strategies as st
 
 from repro.arrays import coords as C
 from repro.core.lineage_store import make_store
-from repro.core.model import BufferSink, ElementwiseBatch, RegionPair
 from repro.core.modes import (
     FULL_MANY_B,
     FULL_MANY_F,
     FULL_ONE_B,
     FULL_ONE_F,
 )
+from repro.ops.base import LineageContext
 
 SHAPE = (9, 11)
 SIZE = SHAPE[0] * SHAPE[1]
 
 
+def _cells(packed):
+    return C.unpack_coords(np.asarray(packed, dtype=np.int64), SHAPE)
+
+
 @st.composite
-def sinks(draw):
-    """A random mix of general pairs and an elementwise batch."""
-    sink = BufferSink()
+def sinks(draw, arity=1):
+    """Random lineage written through :class:`LineageContext`, plus the
+    pairs it denotes and a query.
+
+    The sink holds one-row batches (``lwrite``), an all-unit batch
+    (``lwrite_elementwise`` — the stores' inline one-to-one path) and a
+    batch mixing one-to-one rows with region rows (``lwrite_batch`` — it
+    must take the general path).  Each pair is ``(outs, [ins per input])``
+    in packed form; inputs past the first may be empty in region rows.
+    """
+    ctx = LineageContext(frozenset())
     pairs = []
-    for _ in range(draw(st.integers(0, 6))):
-        n_out = draw(st.integers(1, 4))
-        n_in = draw(st.integers(1, 5))
-        outs = draw(
-            st.lists(st.integers(0, SIZE - 1), min_size=n_out, max_size=n_out)
+
+    def cell_set(min_size, max_size):
+        values = draw(
+            st.lists(
+                st.integers(0, SIZE - 1),
+                min_size=min_size,
+                max_size=max_size,
+                unique=True,
+            )
         )
-        ins = draw(st.lists(st.integers(0, SIZE - 1), min_size=n_in, max_size=n_in))
-        outs = np.unique(np.asarray(outs, dtype=np.int64))
-        ins = np.unique(np.asarray(ins, dtype=np.int64))
+        return np.sort(np.asarray(values, dtype=np.int64))
+
+    def region_row():
+        return cell_set(1, 4), [cell_set(1 if k == 0 else 0, 5) for k in range(arity)]
+
+    for _ in range(draw(st.integers(0, 4))):
+        outs, ins = region_row()
+        ctx.lwrite(_cells(outs), *[_cells(cells) for cells in ins])
         pairs.append((outs, ins))
-        sink.add_pair(
-            RegionPair(
-                outcells=C.unpack_coords(outs, SHAPE),
-                incells=(C.unpack_coords(ins, SHAPE),),
-            )
+    n_unit = draw(st.integers(0, 8))
+    if n_unit:
+        outs = [draw(st.integers(0, SIZE - 1)) for _ in range(n_unit)]
+        ins = [[draw(st.integers(0, SIZE - 1)) for _ in range(n_unit)] for _ in range(arity)]
+        ctx.lwrite_elementwise(_cells(outs), *[_cells(cells) for cells in ins])
+        assert ctx.sink.batches[-1].unit
+        for j in range(n_unit):
+            pairs.append((np.asarray([outs[j]]), [np.asarray([c[j]]) for c in ins]))
+    n_mixed = draw(st.integers(0, 5))
+    if n_mixed:
+        # row 0 is a region (two input cells), the rest one-to-one or region
+        rows = [(cell_set(1, 3), [cell_set(2, 5)] + [cell_set(0, 5) for _ in range(arity - 1)])]
+        for _ in range(n_mixed - 1):
+            if draw(st.booleans()):
+                rows.append((cell_set(1, 1), [cell_set(1, 1) for _ in range(arity)]))
+            else:
+                rows.append(region_row())
+        ctx.lwrite_batch(
+            _cells(np.concatenate([outs for outs, _ in rows])),
+            np.cumsum([0] + [outs.size for outs, _ in rows]),
+            [_cells(np.concatenate([ins[k] for _, ins in rows])) for k in range(arity)],
+            [np.cumsum([0] + [ins[k].size for _, ins in rows]) for k in range(arity)],
         )
-    n_elem = draw(st.integers(0, 8))
-    if n_elem:
-        eouts = draw(
-            st.lists(st.integers(0, SIZE - 1), min_size=n_elem, max_size=n_elem)
-        )
-        eins = draw(
-            st.lists(st.integers(0, SIZE - 1), min_size=n_elem, max_size=n_elem)
-        )
-        eouts = np.asarray(eouts, dtype=np.int64)
-        eins = np.asarray(eins, dtype=np.int64)
-        sink.add_elementwise(
-            ElementwiseBatch(
-                outcells=C.unpack_coords(eouts, SHAPE),
-                incells=(C.unpack_coords(eins, SHAPE),),
-            )
-        )
-        for o, i in zip(eouts, eins):
-            pairs.append((np.asarray([o]), np.asarray([i])))
+        assert not ctx.sink.batches[-1].unit
+        pairs.extend(rows)
     query = draw(st.lists(st.integers(0, SIZE - 1), min_size=1, max_size=12))
-    return sink, pairs, np.unique(np.asarray(query, dtype=np.int64))
+    return ctx.sink, pairs, np.unique(np.asarray(query, dtype=np.int64))
 
 
-def brute_backward(pairs, query):
+def brute_backward(pairs, query, input_idx=0):
     hit, result = set(), set()
     qset = set(query.tolist())
     for outs, ins in pairs:
         touched = qset & set(outs.tolist())
         if touched:
             hit |= touched
-            result |= set(ins.tolist())
+            result |= set(ins[input_idx].tolist())
     return hit, result
 
 
-def brute_forward(pairs, query):
+def brute_forward(pairs, query, input_idx=0):
     qset = set(query.tolist())
     result = set()
     for outs, ins in pairs:
-        if qset & set(ins.tolist()):
+        if qset & set(ins[input_idx].tolist()):
             result |= set(outs.tolist())
     return result
 
@@ -135,30 +157,22 @@ class TestForwardOrientedStores:
 
 
 class TestMultiInputStores:
-    @given(case=sinks(), seed=st.integers(0, 1000))
+    @given(case=sinks(arity=2))
     @settings(max_examples=30, deadline=None)
-    def test_two_input_backward(self, case, seed):
-        """Pairs over two inputs keep their per-input cell sets separate."""
+    def test_two_input_backward(self, case):
+        """Pairs over two inputs keep their per-input cell sets separate,
+        in every Full layout and both orientations."""
         sink, pairs, query = case
-        rng = np.random.default_rng(seed)
-        two = BufferSink()
-        expected = [[], []]
-        for outs, ins in pairs:
-            ins2 = rng.integers(0, SIZE, size=max(1, ins.size // 2))
-            two.add_pair(
-                RegionPair(
-                    outcells=C.unpack_coords(outs, SHAPE),
-                    incells=(
-                        C.unpack_coords(ins, SHAPE),
-                        C.unpack_coords(np.unique(ins2), SHAPE),
-                    ),
-                )
-            )
-            expected[0].append((outs, ins))
-            expected[1].append((outs, np.unique(ins2)))
-        store = make_store("n", FULL_ONE_B, SHAPE, (SHAPE, SHAPE))
-        store.ingest(two)
-        _, per_input = store.backward_full(query)
-        for idx in range(2):
-            _, want = brute_backward(expected[idx], query)
-            assert set(per_input[idx].tolist()) == want
+        for strategy in (FULL_ONE_B, FULL_MANY_B, FULL_ONE_F, FULL_MANY_F):
+            store = make_store("n", strategy, SHAPE, (SHAPE, SHAPE))
+            store.ingest(sink)
+            backward = strategy in (FULL_ONE_B, FULL_MANY_B)
+            read = store.backward_full if backward else store.scan_backward_full
+            read_f = store.scan_forward_full if backward else store.forward_full
+            matched, per_input = read(query)
+            assert set(query[matched].tolist()) == brute_backward(pairs, query)[0]
+            for idx in range(2):
+                _, want = brute_backward(pairs, query, idx)
+                assert set(per_input[idx].tolist()) == want
+                got = read_f(query, idx)
+                assert set(got.tolist()) == brute_forward(pairs, query, idx)

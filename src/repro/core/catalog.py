@@ -146,8 +146,9 @@ class CatalogEntry:
     #: generation ordinal; 0 is the base segment, higher is a newer delta
     gen: int = 0
     #: True when the segment carries bloom/zone filter sections, so overlay
-    #: reads can skip this generation decode-free (pre-filter segments have
-    #: none and are always read)
+    #: reads can skip this generation decode-free.  Every store flush writes
+    #: them; only manifests from before filters existed read False, and
+    #: those segments are always read
     filters: bool = False
 
     @property
@@ -338,7 +339,7 @@ class StoreCatalog:
                     nbytes=nbytes,
                     lowered=store.lowered_ready(),
                     shards=shards,
-                    filters=store.persists_filters(),
+                    filters=True,
                 )
             )
             # a full flush supersedes every delta generation of this store
@@ -526,7 +527,7 @@ class StoreCatalog:
             lowered=store.lowered_ready(),
             shards=shards,
             gen=gen,
-            filters=store.persists_filters(),
+            filters=True,
         )
         with self._lock:
             merged = self._entries.get(key, ()) + (entry,)
@@ -676,7 +677,7 @@ class StoreCatalog:
             lowered=merged.lowered_ready(),
             shards=shards,
             gen=0,
-            filters=merged.persists_filters(),
+            filters=True,
         )
         stale = [
             os.path.join(self.directory, e.file) for e in generations if e.gen != 0

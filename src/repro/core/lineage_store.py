@@ -1,8 +1,8 @@
 """Per-operator lineage stores: the encoding strategies of §VI-B.
 
 Each workflow node that stores region lineage gets one store object per
-:class:`~repro.core.modes.StorageStrategy`.  The four concrete layouts match
-Figure 4 of the paper:
+:class:`~repro.core.modes.StorageStrategy`.  The layouts match Figure 4 of
+the paper:
 
 ``FullOne``
     One hash entry per key-side *cell*; the value references a single shared
@@ -22,30 +22,47 @@ Figure 4 of the paper:
 
 Every store is *oriented*: backward-optimized stores key by output cells,
 forward-optimized ones key by input cells (one sub-store per input array,
-since cells of different inputs would collide after bit-packing).  Queries
-against the matching orientation are hash probes / R-tree descents — and
-R-tree candidate collection descends *once per query coordinate batch*
-(:meth:`~repro.storage.rtree.RTree.query_points`), not once per cell.
-Queries against the wrong orientation fall back to a scan over every entry
-— the expensive mismatch the paper measures in Figure 6(b).  Those scans
-are *batched*: the whole value heap is handed to
+since cells of different inputs would collide after bit-packing), so the
+Full layouts come in four classes and the payload layouts in two.
+
+**Layouts are declared, not hand-written.**  Each layout's constructor
+declares its components once — a :class:`~repro.storage.kvstore.HashStore`,
+a :class:`~repro.storage.kvstore.BlobStore` heap or a
+:class:`RegionEntryTable` — each with its name (the on-disk section
+prefix, e.g. ``refs`` or ``table1``), the matched-read key surface it
+feeds (``"b"`` or ``"f<i>"``, none for a blob heap) and whether its values
+are ids into the blob heap.  :class:`OpLineageStore` derives everything
+else from that table: the segment's component list, load and close,
+pending-write finalization, the bloom/zone filter surfaces, the lowered
+tables to warm (from the strategy: every input field for backward Full
+layouts, field 0 for forward ones, none for payload layouts), the
+compaction merge (heap first, refs re-based by its id base) and the
+accounting.  A layout class keeps only ``ingest`` and its read methods.
+``docs/storage_format.md`` tabulates the six layouts' components.
+
+Queries against the matching orientation are hash probes / R-tree
+descents — and R-tree candidate collection descends *once per query
+coordinate batch* (:meth:`~repro.storage.rtree.RTree.query_points`), not
+once per cell.  Queries against the wrong orientation fall back to a scan
+over every entry — the expensive mismatch the paper measures in Figure
+6(b).  Those scans are *batched*: the whole value heap is handed to
 :class:`repro.storage.codecs.BatchProbe`, which groups entries by codec tag
 and answers per-entry verdicts or intersections in a handful of vectorised
-passes (lowered tables cached on the :class:`RegionEntryTable` /
-:class:`~repro.storage.kvstore.BlobStore`, so repeat scans skip the header
-walk entirely).  The fixed-width hash layouts scan the same way, via one
-``isin_sorted`` pass over their key/value vectors; payload layouts expose
-their columnar state (:meth:`OpLineageStore.payload_entries`) so the
+passes (lowered tables cached per heap by
+:class:`~repro.storage.codecs.LoweredProbeCache`, so repeat scans skip the
+header walk entirely).  The fixed-width hash layouts scan the same way, via
+one ``isin_sorted`` pass over their key/value vectors; payload layouts
+expose their columnar state (:meth:`OpLineageStore.payload_entries`) so the
 executor's payload scan batches too.  Matched backward reads are in-situ:
 candidate key sets are matched with one concatenated ``searchsorted`` pass,
 and only the hit entries' values — and only the requested input's field —
 are ever decoded.
 
 Persistence is *scan-ready*: each store flushes to ONE segment file
-(:mod:`repro.storage.segment`) holding its sorted columns, the R-tree, and
-the lowered batch-scan tables, so a store reloaded in a fresh process —
-lazily, via the :class:`~repro.core.catalog.StoreCatalog` — answers its
-first mismatched scan at warm speed (no codec header walk; see
+(:mod:`repro.storage.segment`) holding its sorted columns, the R-tree, the
+lowered batch-scan tables and the key filters, so a store reloaded in a
+fresh process — lazily, via the :class:`~repro.core.catalog.StoreCatalog` —
+answers its first mismatched scan at warm speed (no codec header walk; see
 ``docs/storage_format.md``).
 
 All public methods speak *packed* coordinates (int64, see
@@ -53,6 +70,8 @@ All public methods speak *packed* coordinates (int64, see
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,9 +187,14 @@ def encode_full_values(
     return out, lens_m.sum(axis=1)
 
 
-class RegionEntryTable:
+class RegionEntryTable(codecs.LoweredProbeCache):
     """Columnar table of (key cell set, value blob) entries with an R-tree
-    over the key sets' bounding boxes (the *Many layouts)."""
+    over the key sets' bounding boxes (the *Many layouts).
+
+    Full-layout values are codec-encoded cell sets, one per input array;
+    mismatched scans probe them through the shared lowered-probe cache
+    (:class:`~repro.storage.codecs.LoweredProbeCache`), whose tables are
+    rebuilt whenever new entries are finalized."""
 
     def __init__(self, key_shape: tuple[int, ...]):
         self.key_shape = tuple(key_shape)
@@ -185,11 +209,7 @@ class RegionEntryTable:
         self._lo: np.ndarray | None = None
         self._hi: np.ndarray | None = None
         self._rtree: RTree | None = None
-        self._probes: dict[int, codecs.BatchProbe] = {}
-        #: ``(segment, prefix, fields, n)`` when persisted lowered tables
-        #: are available but not yet hydrated — the shard holding them maps
-        #: only when a mismatched scan first asks (lazy per-shard load)
-        self._probe_source: tuple | None = None
+        self._reset_probes()
         self._dirty = False
         # serializes finalize and probe construction under concurrent
         # readers; the finalized columns themselves are immutable
@@ -241,21 +261,13 @@ class RegionEntryTable:
         self._vlen_chunks.append(val_lengths)
         self._dirty = True
 
-    def extend_columns(
-        self,
-        keys: np.ndarray,
-        koff: np.ndarray,
-        vbuf,
-        voff: np.ndarray,
-    ) -> None:
-        """Bulk-append another table's finalized columns (the generational
-        merge writer): entry boundaries are preserved, and the next
-        :meth:`finalize` re-sorts boxes/R-tree over the merged entry set.
-        The inputs are copied, so the merge outlives the source table's
-        backing segment."""
-        koff = np.asarray(koff, dtype=np.int64)
-        n = koff.size - 1
-        if n <= 0:
+    def extend_from(self, other: "RegionEntryTable") -> None:
+        """Append every entry of ``other`` (the generational merge writer):
+        entry boundaries are preserved, and the next :meth:`finalize`
+        re-sorts boxes/R-tree over the merged entry set.  The columns are
+        copied, so the merge outlives the other table's backing segment."""
+        keys, koff, vbuf, voff = other.columns()
+        if koff.size <= 1:
             return
         # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
         self._key_chunks.append(np.array(keys, dtype=np.int64))
@@ -301,8 +313,7 @@ class RegionEntryTable:
             self._rtree = RTree.build(lo, hi)
             # lowered batch-probe tables (cached or persisted) describe the
             # old heap; both must go when the heap grows
-            self._probes = {}
-            self._probe_source = None
+            self._reset_probes()
             self._key_chunks, self._klen_chunks = [], []
             self._val_chunks, self._vlen_chunks = [], []
             self._dirty = False
@@ -388,59 +399,17 @@ class RegionEntryTable:
     # Full layouts); ``field`` skips over preceding sets when a value holds
     # one per input array.  None of these slice the value buffer.
 
-    def batch_probe(self, field: int = 0, ticker=None) -> codecs.BatchProbe:
-        """Vectorised prober over every entry's cell-set ``field``.
+    def _probe_heap(self):
+        if self._voff is None:
+            empty = np.empty(0, dtype=np.int64)
+            return self._vbuf, empty, empty
+        return self._vbuf, self._voff[:-1], self._voff[1:]
 
-        Built over the shared value heap (no per-entry byte slicing) and
-        cached until new entries are finalized, so a scan's per-entry
-        verdicts cost a few NumPy passes — and repeat scans skip even the
-        header walk.  Segment-backed tables rehydrate these probes from
-        their persisted lowered tables, so a fresh process starts warm.
-        ``ticker`` is called once per batch (the cold field-offset walk for
-        ``field > 0`` counts as one batch), so a query-time budget
-        interrupts at batch boundaries only.
-        """
-        self.finalize()
-        probe = self._probes.get(field)
-        if probe is None:
-            with self._flock:
-                probe = self._probes.get(field)
-                if probe is None and self._probe_source is not None:
-                    seg, prefix, fields, n = self._probe_source
-                    if field in fields:
-                        # hydrate from the persisted lowered tables; this is
-                        # the access that maps the shard holding them
-                        tables = {
-                            tname: seg.array(f"{prefix}probe{field}.{tname}")
-                            for tname in codecs.BatchProbe.LOWERED_NAMES
-                        }
-                        probe = codecs.BatchProbe.from_lowered(self._vbuf, n, tables)
-                        self._probes[field] = probe
-                if probe is None:
-                    if self._voff is None:
-                        offsets = np.empty(0, dtype=np.int64)
-                        ends = offsets
-                    elif field == 0:
-                        offsets, ends = self._voff[:-1], self._voff[1:]
-                    else:
-                        if ticker is not None:
-                            ticker()
-                        offsets = np.empty(self._voff.size - 1, dtype=np.int64)
-                        for e in range(offsets.size):
-                            offsets[e] = self._value_offset(e, field)
-                        ends = self._voff[1:]
-                    probe = codecs.BatchProbe(self._vbuf, offsets, ends)
-                    self._probes[field] = probe
-        return probe
-
-    def probe_fields(self) -> set[int]:
-        """Fields whose lowered batch-probe tables are warm — cached in
-        memory, or persisted in the backing segment (hydration is lazy but
-        costs no header walk, so they count as warm)."""
-        fields = {f for f, p in self._probes.items() if p._lowered is not None}
-        if self._probe_source is not None:
-            fields |= set(self._probe_source[2])
-        return fields
+    def _field_starts(self, field: int) -> np.ndarray:
+        n = self._voff.size - 1
+        return np.fromiter(
+            (self._value_offset(e, field) for e in range(n)), dtype=np.int64, count=n
+        )
 
     def value_cells(self, entry_id: int, field: int = 0) -> np.ndarray:
         """Decode one cell-set field of the entry value in place."""
@@ -495,7 +464,8 @@ class RegionEntryTable:
             return empty, np.zeros(1, dtype=np.int64), b"", np.zeros(1, dtype=np.int64)
         return self._keys, self._koff, self._vbuf, self._voff
 
-    def all_key_cells(self) -> np.ndarray:
+    def keys_array(self) -> np.ndarray:
+        """Every entry's key cells, concatenated in entry order."""
         self.finalize()
         if self._keys is None:
             return np.empty(0, dtype=np.int64)
@@ -520,13 +490,10 @@ class RegionEntryTable:
         along so a load serves queries without rebuilding anything."""
         self.finalize()
         if self._koff is None:
-            writer.add_json(prefix + "meta", {"n": 0, "probe_fields": []})
+            writer.add_json(prefix + "meta", self._probe_meta(0, []))
             return
         fields = sorted(self.probe_fields())
-        writer.add_json(
-            prefix + "meta",
-            {"n": int(self._koff.size - 1), "probe_fields": fields},
-        )
+        writer.add_json(prefix + "meta", self._probe_meta(int(self._koff.size - 1), fields))
         writer.add_array(prefix + "keys", self._keys)
         writer.add_array(prefix + "koff", self._koff)
         writer.add_array(prefix + "voff", self._voff)
@@ -534,11 +501,7 @@ class RegionEntryTable:
         writer.add_array(prefix + "lo", self._lo)
         writer.add_array(prefix + "hi", self._hi)
         self._rtree.dump(writer, prefix + "rtree.")
-        for field in fields:
-            # batch_probe hydrates lazily-persisted tables when needed
-            tables = self.batch_probe(field=field).lowered_tables()
-            for tname in codecs.BatchProbe.LOWERED_NAMES:
-                writer.add_array(f"{prefix}probe{field}.{tname}", tables[tname])
+        self._dump_probes(writer, prefix, fields)
 
     @classmethod
     def from_segment(
@@ -558,11 +521,7 @@ class RegionEntryTable:
         table._lo = seg.array(prefix + "lo")
         table._hi = seg.array(prefix + "hi")
         table._rtree = RTree.from_segment(seg, prefix + "rtree.")
-        fields = [int(f) for f in meta.get("probe_fields", [])]
-        if fields:
-            # defer hydration: the shard holding the lowered tables is
-            # mapped only when a mismatched scan first asks for a probe
-            table._probe_source = (seg, prefix, fields, int(meta["n"]))
+        table._attach_probes(seg, prefix, meta)
         return table
 
     def flush(self, path: str) -> int:
@@ -608,8 +567,26 @@ class _ClosedComponent:
         )
 
 
+class _Slot(NamedTuple):
+    """One row of a layout's component table (see :meth:`OpLineageStore._declare`)."""
+
+    #: the on-disk section prefix, and the key into ``store.components``
+    name: str
+    #: the filter surface its keys feed (``"b"`` output-packed, ``"f<i>"``
+    #: packed against input ``i``); None for a blob heap, which has no keys
+    surface: str | None
+    #: its int64 values are ids into the layout's blob heap
+    refs: bool
+
+
 class OpLineageStore:
-    """Base class: strategy-specific layout + shared accounting."""
+    """Base class: one strategy layout, declared as a component table.
+
+    Each layout's constructor declares its components once
+    (:meth:`_declare`); persistence, close, merging, filter surfaces,
+    lowered-table warm-up and accounting are all derived here from that
+    table, so a layout class keeps only its ``ingest`` and read methods.
+    """
 
     def __init__(
         self,
@@ -624,6 +601,19 @@ class OpLineageStore:
         self.in_shapes = tuple(tuple(s) for s in in_shapes)
         self.arity = len(in_shapes)
         self.write_seconds = 0.0
+        #: the layout's components by name (= on-disk section prefix), in
+        #: declaration order (= on-disk order)
+        self.components: dict[str, object] = {}
+        self._slots: list[_Slot] = []
+        #: the value fields mismatched scans probe: every input's cell set
+        #: for backward Full layouts, the one output cell set for forward
+        #: ones; payload layouts scan columnar state and probe none
+        if strategy.mode is not LineageMode.FULL:
+            self._probed_fields: tuple[int, ...] = ()
+        elif strategy.orientation is Orientation.BACKWARD:
+            self._probed_fields = tuple(range(self.arity))
+        else:
+            self._probed_fields = (0,)
         #: the segment handle backing this store's components when it was
         #: hydrated from disk (owned: ``close()`` releases it); None for
         #: resident stores built by ingest
@@ -632,6 +622,27 @@ class OpLineageStore:
         #: from the segment's filter sections; None for resident stores and
         #: segments that predate filters (probes then answer "may contain")
         self._filters: dict | None = None
+
+    def _declare(
+        self, name: str, component, surface: str | None = None, refs: bool = False
+    ) -> None:
+        """Add one component to the layout's table.
+
+        ``surface`` names the matched-read key surface the component's keys
+        feed (None marks the blob heap); ``refs`` marks int64 values that
+        are ids into that heap, which a merge must re-base."""
+        self._slots.append(_Slot(name, surface, refs))
+        self.components[name] = component
+
+    def _keyed(self):
+        """``(slot, component)`` of every component with keys (not heaps)."""
+        return [(s, self.components[s.name]) for s in self._slots if s.surface]
+
+    def _probed(self) -> list:
+        """Components whose values mismatched scans batch-probe."""
+        if not self._probed_fields:
+            return []
+        return [c for c in self.components.values() if not isinstance(c, HashStore)]
 
     # -- writes -------------------------------------------------------------
 
@@ -651,38 +662,25 @@ class OpLineageStore:
     def finalize_if_possible(self) -> None:
         """Sort/index pending writes now so the cost lands at write time,
         mirroring the paper's bulk encoding during workflow execution."""
-        for store in self._hash_stores():
-            store.finalize()
-        for table in self._entry_tables():
-            table.finalize()
-
-    def _hash_stores(self) -> list[HashStore]:
-        return []
-
-    def _entry_tables(self) -> list["RegionEntryTable"]:
-        return []
+        for _, component in self._keyed():
+            component.finalize()
 
     # -- persistence -------------------------------------------------------
 
-    SEGMENT_FILENAME = "store.seg"
-
-    def _components(self) -> dict[str, object]:
-        """Named sub-stores, for flush/load; overridden per layout."""
-        return {}
-
     def _filter_key_arrays(self) -> dict[str, tuple[np.ndarray, tuple]]:
         """The matched-read key surfaces to summarise at flush time:
-        ``tag -> (packed keys, shape)``.  Backward-keyed layouts expose one
-        surface (``"b"``, output-packed); forward layouts one per input
-        (``"f<i>"``, input-packed).  Overridden per layout; an empty dict
-        flushes no filter sections."""
-        return {}
-
-    def persists_filters(self) -> bool:
-        """True when :meth:`flush_segment` will write bloom/zone filter
-        sections for this store (feeds the catalog manifest's ``filters``
-        flag, answered later without opening the segment)."""
-        return bool(self._filter_key_arrays())
+        ``tag -> (packed keys, shape)``, gathered from the keyed
+        components in declaration order."""
+        keys: dict[str, list[np.ndarray]] = {}
+        for slot, component in self._keyed():
+            keys.setdefault(slot.surface, []).append(component.keys_array())
+        return {
+            tag: (
+                _concat(parts),
+                self.out_shape if tag == "b" else self.in_shapes[int(tag[1:])],
+            )
+            for tag, parts in keys.items()
+        }
 
     def filter_decision(self, tag: str, qpacked: np.ndarray):
         """Tri-state generation-skip probe for overlay reads.
@@ -699,19 +697,21 @@ class OpLineageStore:
             return None
         return f.may_contain(qpacked)
 
-    def _set_component(self, name: str, obj) -> None:
-        raise StorageError(f"{type(self).__name__} has no component {name!r}")
-
     def warm_lowered_tables(self) -> None:
         """Build the lowered batch-probe tables every mismatched scan of
         this layout would need, so a flush persists them and a reloaded
-        store starts warm.  Overridden by the Full layouts; the payload
-        layouts scan columnar state and have nothing to lower."""
+        store starts warm."""
+        for component in self._probed():
+            for field in self._probed_fields:
+                component.batch_probe(field=field).lowered_tables()
 
     def lowered_ready(self) -> bool:
         """True when a mismatched-orientation scan runs off cached/persisted
         lowered tables — no codec header walk left to pay."""
-        return True
+        fields = set(self._probed_fields)
+        return all(
+            c.n_entries == 0 or fields <= c.probe_fields() for c in self._probed()
+        )
 
     def flush_segment(
         self,
@@ -740,20 +740,18 @@ class OpLineageStore:
             {
                 "node": self.node,
                 "strategy": self.strategy.label,
-                "components": list(self._components()),
+                "components": list(self.components),
             },
         )
-        for name, component in self._components().items():
+        for name, component in self.components.items():
             component.dump(writer, prefix=f"{name}.")
-        surfaces = self._filter_key_arrays()
-        if surfaces:
-            filterlib.dump_filters(
-                writer,
-                {
-                    tag: filterlib.GenerationFilter.build(keys, shape)
-                    for tag, (keys, shape) in surfaces.items()
-                },
-            )
+        filterlib.dump_filters(
+            writer,
+            {
+                tag: filterlib.GenerationFilter.build(keys, shape)
+                for tag, (keys, shape) in self._filter_key_arrays().items()
+            },
+        )
         if shard_threshold_bytes is not None:
             nbytes, _ = writer.write_sharded(
                 path, shard_threshold_bytes, stale_sink=stale_sink
@@ -775,24 +773,20 @@ class OpLineageStore:
         if (
             meta.get("node") != self.node
             or meta.get("strategy") != self.strategy.label
-            or set(meta.get("components", ())) != set(self._components())
+            or set(meta.get("components", ())) != set(self.components)
         ):
             raise StorageError(
                 f"segment {seg.path!r} holds store "
                 f"({meta.get('node')!r}, {meta.get('strategy')!r}); "
                 f"refusing to load it into ({self.node!r}, {self.strategy.label!r})"
             )
-        for name, component in self._components().items():
+        for name, component in self.components.items():
             prefix = f"{name}."
-            if isinstance(component, HashStore):
-                self._set_component(name, HashStore.from_segment(seg, prefix, name))
-            elif isinstance(component, BlobStore):
-                self._set_component(name, BlobStore.from_segment(seg, prefix, name))
+            if isinstance(component, (HashStore, BlobStore)):
+                loaded = type(component).from_segment(seg, prefix, name)
             else:
-                self._set_component(
-                    name,
-                    RegionEntryTable.from_segment(seg, prefix, component.key_shape),
-                )
+                loaded = RegionEntryTable.from_segment(seg, prefix, component.key_shape)
+            self.components[name] = loaded
         self._filters = filterlib.load_filters(seg)
         old = self._segment
         self._segment = seg
@@ -816,8 +810,8 @@ class OpLineageStore:
         # they force hits the poison components below — loud, not empty)
         self._filters = None
         what = f"({self.node!r}, {self.strategy.label})"
-        for name in self._components():
-            self._set_component(name, _ClosedComponent(what))
+        for name in self.components:
+            self.components[name] = _ClosedComponent(what)
         seg.close()
 
     def __enter__(self) -> "OpLineageStore":
@@ -825,18 +819,6 @@ class OpLineageStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def flush_to(self, directory: str) -> int:
-        """Persist the store under ``directory``; returns bytes written."""
-        import os
-
-        return self.flush_segment(os.path.join(directory, self.SEGMENT_FILENAME))
-
-    def load_from(self, directory: str) -> None:
-        """Replace every component with its persisted counterpart."""
-        import os
-
-        self.load_segment(os.path.join(directory, self.SEGMENT_FILENAME))
 
     # -- generational merge (compaction writer) -------------------------------
 
@@ -856,14 +838,26 @@ class OpLineageStore:
         """Merge every entry of ``other`` (same layout and shapes) into this
         store — the compaction merge writer.
 
-        Works at the component level: hash segments and entry tables
+        Works component by component: hash segments and entry tables
         concatenate (the multimap/entry-set contracts make union exactly
-        concatenation), blob heaps append with the id base returned by
-        :meth:`~repro.storage.kvstore.BlobStore.extend_from` re-basing the
-        refs that point into them.  All absorbed bytes are copied, so the
-        merged store stays valid after the generations' segments close.
-        Overridden per layout."""
-        raise LineageError(f"{self.strategy.label} store cannot absorb generations")
+        concatenation); the blob heap merges first, and the id base its
+        :meth:`~repro.storage.kvstore.BlobStore.extend_from` returns
+        re-bases the refs that point into it.  All absorbed bytes are
+        copied, so the merged store stays valid after the generations'
+        segments close."""
+        self._check_absorb(other)
+        base = 0
+        for slot in self._slots:
+            if slot.surface is None:
+                base = self.components[slot.name].extend_from(other.components[slot.name])
+        for slot, component in self._keyed():
+            theirs = other.components[slot.name]
+            if not slot.refs:
+                component.extend_from(theirs)
+                continue
+            keys, refs = theirs.items_fixed()
+            if keys.size:
+                component.put_many_fixed(keys, refs + base)
 
     # -- matched-orientation reads -------------------------------------------
 
@@ -923,11 +917,12 @@ class OpLineageStore:
     # -- accounting -----------------------------------------------------------------
 
     def disk_bytes(self) -> int:
-        raise NotImplementedError
+        return sum(c.disk_bytes() for c in self.components.values())
 
     @property
     def n_entries(self) -> int:
-        raise NotImplementedError
+        """Stored keyed entries (blob heaps hold values, not entries)."""
+        return sum(c.n_entries for _, c in self._keyed())
 
 
 class _FullBackwardOne(OpLineageStore):
@@ -936,33 +931,13 @@ class _FullBackwardOne(OpLineageStore):
 
     def __init__(self, node, strategy, out_shape, in_shapes):
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._direct = [HashStore(f"{node}.direct{i}") for i in range(self.arity)]
-        self._refs = HashStore(f"{node}.refs")
-        self._blobs = BlobStore(f"{node}.blobs")
-
-    def _hash_stores(self):
-        return [*self._direct, self._refs]
-
-    def _components(self):
-        out = {f"direct{i}": s for i, s in enumerate(self._direct)}
-        out["refs"] = self._refs
-        out["blobs"] = self._blobs
-        return out
-
-    def _set_component(self, name, obj):
-        if name.startswith("direct"):
-            self._direct[int(name[6:])] = obj
-        elif name == "refs":
-            self._refs = obj
-        else:
-            self._blobs = obj
-
-    def _filter_key_arrays(self):
-        keys = [s.keys_array() for s in self._direct]
-        keys.append(self._refs.keys_array())
-        return {"b": (_concat(keys), self.out_shape)}
+        for i in range(self.arity):
+            self._declare(f"direct{i}", HashStore(f"{node}.direct{i}"), "b")
+        self._declare("refs", HashStore(f"{node}.refs"), "b", refs=True)
+        self._declare("blobs", BlobStore(f"{node}.blobs"))
 
     def ingest(self, sink: BufferSink) -> None:
+        comps = self.components
         for rb in sink.batches:
             if rb.is_payload:
                 continue
@@ -970,38 +945,31 @@ class _FullBackwardOne(OpLineageStore):
             in_packed = self._pack_inputs(rb)
             if rb.unit:  # one-to-one: inline the input cell, no blob
                 for i, cells in enumerate(in_packed):
-                    self._direct[i].put_many_fixed(out_packed, cells)
+                    comps[f"direct{i}"].put_many_fixed(out_packed, cells)
                 continue
-            ids = self._blobs.append_buffer(
+            ids = comps["blobs"].append_buffer(
                 *encode_full_values(in_packed, rb.in_offsets)
             )
-            self._refs.put_many_fixed(
+            comps["refs"].put_many_fixed(
                 out_packed, np.repeat(ids, np.diff(rb.out_offsets))
             )
 
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        for i in range(self.arity):
-            self._direct[i].extend_from(other._direct[i])
-        base = self._blobs.extend_from(other._blobs)
-        keys, refs = other._refs.items_fixed()
-        if keys.size:
-            self._refs.put_many_fixed(keys, refs + base)
-
     def backward_full(self, qpacked, only_input=None):
+        comps = self.components
         matched = np.zeros(qpacked.size, dtype=bool)
         per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        for i, store in enumerate(self._direct):
-            qidx, cells = store.lookup_refs(qpacked)
+        for i in range(self.arity):
+            qidx, cells = comps[f"direct{i}"].lookup_refs(qpacked)
             if qidx.size:
                 matched[qidx] = True
                 if only_input is None or i == only_input:
                     per_input[i].append(cells)
-        qidx, refs = self._refs.lookup_refs(qpacked)
+        qidx, refs = comps["refs"].lookup_refs(qpacked)
         if qidx.size:
             matched[qidx] = True
+            blobs = comps["blobs"]
             for ref in np.unique(refs):
-                blob = self._blobs.get(int(ref))
+                blob = blobs.get(int(ref))
                 if only_input is None:
                     for i, cells in enumerate(decode_full_value(blob, self.arity)):
                         per_input[i].append(cells)
@@ -1011,40 +979,23 @@ class _FullBackwardOne(OpLineageStore):
                     )
         return matched, [_concat(parts) for parts in per_input]
 
-    def warm_lowered_tables(self) -> None:
-        for i in range(self.arity):
-            self._blobs.batch_probe(field=i).lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        if len(self._blobs) == 0:
-            return True
-        return set(range(self.arity)) <= self._blobs.probe_fields()
-
     def scan_forward_full(self, qpacked, input_idx, ticker=None):
         query = np.sort(qpacked)
         parts: list[np.ndarray] = []
-        out_keys, in_cells = self._direct[input_idx].items_fixed()
+        out_keys, in_cells = self.components[f"direct{input_idx}"].items_fixed()
         if out_keys.size:
             parts.append(out_keys[C.isin_sorted(in_cells, query)])
         if ticker is not None:
             ticker()
-        ref_keys, refs = self._refs.items_fixed()
+        ref_keys, refs = self.components["refs"].items_fixed()
         if ref_keys.size:
             # one vectorised pass over the blob heap; refs are blob ids, so
             # the per-blob verdicts index straight into the ref rows
-            verdicts = self._blobs.batch_probe(
+            verdicts = self.components["blobs"].batch_probe(
                 field=input_idx, ticker=ticker
             ).contains_any(query, ticker)
             parts.append(ref_keys[verdicts[refs]])
         return np.unique(_concat(parts))
-
-    def disk_bytes(self) -> int:
-        total = self._refs.disk_bytes() + self._blobs.disk_bytes()
-        return total + sum(s.disk_bytes() for s in self._direct)
-
-    @property
-    def n_entries(self) -> int:
-        return self._refs.n_entries + sum(s.n_entries for s in self._direct)
 
 
 class _FullBackwardMany(OpLineageStore):
@@ -1053,72 +1004,40 @@ class _FullBackwardMany(OpLineageStore):
 
     def __init__(self, node, strategy, out_shape, in_shapes):
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._table = RegionEntryTable(out_shape)
-
-    def _entry_tables(self):
-        return [self._table]
-
-    def _components(self):
-        return {"table": self._table}
-
-    def _set_component(self, name, obj):
-        self._table = obj
-
-    def _filter_key_arrays(self):
-        return {"b": (self._table.all_key_cells(), self.out_shape)}
+        self._declare("table", RegionEntryTable(out_shape), "b")
 
     def ingest(self, sink: BufferSink) -> None:
+        table = self.components["table"]
         for rb in sink.batches:
             if rb.is_payload:
                 continue
-            self._table.add_entries(
+            table.add_entries(
                 C.pack_coords(rb.out_coords, self.out_shape),
                 np.diff(rb.out_offsets),
                 *encode_full_values(self._pack_inputs(rb), rb.in_offsets),
             )
 
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        self._table.extend_columns(*other._table.columns())
-
     def backward_full(self, qpacked, only_input=None):
+        table = self.components["table"]
         query_sorted = np.sort(qpacked)
         coords = C.unpack_coords(qpacked, self.out_shape)
         per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        candidates = self.candidate_entries(coords)
-        hit, hit_cells = self._table.match_keys(candidates, query_sorted)
+        candidates = table.candidate_entries(coords)
+        hit, hit_cells = table.match_keys(candidates, query_sorted)
         fields = range(self.arity) if only_input is None else (only_input,)
         for entry_id in candidates[hit]:
             for i in fields:
-                per_input[i].append(self._table.value_cells(int(entry_id), field=i))
+                per_input[i].append(table.value_cells(int(entry_id), field=i))
         matched = np.isin(qpacked, hit_cells)
         return matched, [_concat(parts) for parts in per_input]
 
-    def candidate_entries(self, coords: np.ndarray) -> np.ndarray:
-        return self._table.candidate_entries(coords)
-
-    def warm_lowered_tables(self) -> None:
-        for i in range(self.arity):
-            self._table.batch_probe(field=i).lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        if self._table.n_entries == 0:
-            return True
-        return set(range(self.arity)) <= self._table.probe_fields()
-
     def scan_forward_full(self, qpacked, input_idx, ticker=None):
+        table = self.components["table"]
         query = np.sort(qpacked)
-        verdicts = self._table.batch_probe(
-            field=input_idx, ticker=ticker
-        ).contains_any(query, ticker)
-        return np.unique(self._table.entries_keys(np.flatnonzero(verdicts)))
-
-    def disk_bytes(self) -> int:
-        return self._table.disk_bytes()
-
-    @property
-    def n_entries(self) -> int:
-        return self._table.n_entries
+        verdicts = table.batch_probe(field=input_idx, ticker=ticker).contains_any(
+            query, ticker
+        )
+        return np.unique(table.entries_keys(np.flatnonzero(verdicts)))
 
 
 class _FullForwardOne(OpLineageStore):
@@ -1126,37 +1045,14 @@ class _FullForwardOne(OpLineageStore):
 
     def __init__(self, node, strategy, out_shape, in_shapes):
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._direct = [HashStore(f"{node}.fdirect{i}") for i in range(self.arity)]
-        self._refs = [HashStore(f"{node}.frefs{i}") for i in range(self.arity)]
-        self._blobs = BlobStore(f"{node}.fblobs")
-
-    def _hash_stores(self):
-        return [*self._direct, *self._refs]
-
-    def _components(self):
-        out = {f"fdirect{i}": s for i, s in enumerate(self._direct)}
-        out.update({f"frefs{i}": s for i, s in enumerate(self._refs)})
-        out["fblobs"] = self._blobs
-        return out
-
-    def _set_component(self, name, obj):
-        if name.startswith("fdirect"):
-            self._direct[int(name[7:])] = obj
-        elif name.startswith("frefs"):
-            self._refs[int(name[5:])] = obj
-        else:
-            self._blobs = obj
-
-    def _filter_key_arrays(self):
-        return {
-            f"f{i}": (
-                _concat([self._direct[i].keys_array(), self._refs[i].keys_array()]),
-                self.in_shapes[i],
-            )
-            for i in range(self.arity)
-        }
+        for i in range(self.arity):
+            self._declare(f"fdirect{i}", HashStore(f"{node}.fdirect{i}"), f"f{i}")
+        for i in range(self.arity):
+            self._declare(f"frefs{i}", HashStore(f"{node}.frefs{i}"), f"f{i}", refs=True)
+        self._declare("fblobs", BlobStore(f"{node}.fblobs"))
 
     def ingest(self, sink: BufferSink) -> None:
+        comps = self.components
         for rb in sink.batches:
             if rb.is_payload:
                 continue
@@ -1164,58 +1060,45 @@ class _FullForwardOne(OpLineageStore):
             in_packed = self._pack_inputs(rb)
             if rb.unit:  # one-to-one: inline the output cell, no blob
                 for i, cells in enumerate(in_packed):
-                    self._direct[i].put_many_fixed(cells, out_packed)
+                    comps[f"fdirect{i}"].put_many_fixed(cells, out_packed)
                 continue
-            ids = self._blobs.append_buffer(
+            ids = comps["fblobs"].append_buffer(
                 *_encode_sorted_segmented(out_packed, rb.out_offsets)
             )
             for i, cells in enumerate(in_packed):
-                self._refs[i].put_many_fixed(
+                comps[f"frefs{i}"].put_many_fixed(
                     cells, np.repeat(ids, np.diff(rb.in_offsets[i]))
                 )
 
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        base = self._blobs.extend_from(other._blobs)
-        for i in range(self.arity):
-            self._direct[i].extend_from(other._direct[i])
-            keys, refs = other._refs[i].items_fixed()
-            if keys.size:
-                self._refs[i].put_many_fixed(keys, refs + base)
-
     def forward_full(self, qpacked, input_idx):
         parts: list[np.ndarray] = []
-        qidx, cells = self._direct[input_idx].lookup_refs(qpacked)
+        qidx, cells = self.components[f"fdirect{input_idx}"].lookup_refs(qpacked)
         if qidx.size:
             parts.append(cells)
-        qidx, refs = self._refs[input_idx].lookup_refs(qpacked)
+        qidx, refs = self.components[f"frefs{input_idx}"].lookup_refs(qpacked)
+        blobs = self.components["fblobs"]
         for ref in np.unique(refs):
-            arr, _ = codecs.decode_cells(self._blobs.get(int(ref)))
+            arr, _ = codecs.decode_cells(blobs.get(int(ref)))
             parts.append(arr)
         return _concat(parts)
 
-    def warm_lowered_tables(self) -> None:
-        self._blobs.batch_probe().lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        return len(self._blobs) == 0 or 0 in self._blobs.probe_fields()
-
     def scan_backward_full(self, qpacked, ticker=None):
+        comps = self.components
         query = np.sort(qpacked)
         matched_cells: list[np.ndarray] = []
         per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
         # one vectorised intersect pass over the shared blob heap, reused by
         # every input's ref store (hit_ids ascending, blobs keyed by id)
-        hit_ids, intersections = self._blobs.batch_probe().intersect(query, ticker)
+        hit_ids, intersections = comps["fblobs"].batch_probe().intersect(query, ticker)
         inter_by_blob = dict(zip(hit_ids.tolist(), intersections))
         for i in range(self.arity):
-            in_keys, out_cells = self._direct[i].items_fixed()
+            in_keys, out_cells = comps[f"fdirect{i}"].items_fixed()
             if in_keys.size:
                 member = C.isin_sorted(out_cells, query)
                 if member.any():
                     matched_cells.append(out_cells[member])
                     per_input[i].append(in_keys[member])
-            in_keys, refs = self._refs[i].items_fixed()
+            in_keys, refs = comps[f"frefs{i}"].items_fixed()
             if in_keys.size and hit_ids.size:
                 member = C.isin_sorted(refs, hit_ids)
                 if member.any():
@@ -1228,40 +1111,14 @@ class _FullForwardOne(OpLineageStore):
         matched = np.isin(qpacked, _concat(matched_cells))
         return matched, [_concat(parts) for parts in per_input]
 
-    def disk_bytes(self) -> int:
-        total = self._blobs.disk_bytes()
-        total += sum(s.disk_bytes() for s in self._direct)
-        total += sum(s.disk_bytes() for s in self._refs)
-        return total
-
-    @property
-    def n_entries(self) -> int:
-        return sum(s.n_entries for s in self._direct) + sum(
-            s.n_entries for s in self._refs
-        )
-
 
 class _FullForwardMany(OpLineageStore):
     """``->FullMany``: per input array, one R-tree-indexed entry per pair."""
 
     def __init__(self, node, strategy, out_shape, in_shapes):
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._tables = [RegionEntryTable(shape) for shape in self.in_shapes]
-
-    def _entry_tables(self):
-        return list(self._tables)
-
-    def _components(self):
-        return {f"table{i}": t for i, t in enumerate(self._tables)}
-
-    def _set_component(self, name, obj):
-        self._tables[int(name[5:])] = obj
-
-    def _filter_key_arrays(self):
-        return {
-            f"f{i}": (table.all_key_cells(), self.in_shapes[i])
-            for i, table in enumerate(self._tables)
-        }
+        for i, shape in enumerate(self.in_shapes):
+            self._declare(f"table{i}", RegionEntryTable(shape), f"f{i}")
 
     def ingest(self, sink: BufferSink) -> None:
         for rb in sink.batches:
@@ -1286,15 +1143,12 @@ class _FullForwardMany(OpLineageStore):
                         vbuf, vstarts[:-1][keep], lens_i, int(lens_i.sum())
                     )
                     in_counts = in_counts[keep]
-                self._tables[i].add_entries(in_packed, in_counts, buf_i, lens_i)
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        for i, table in enumerate(self._tables):
-            table.extend_columns(*other._tables[i].columns())
+                self.components[f"table{i}"].add_entries(
+                    in_packed, in_counts, buf_i, lens_i
+                )
 
     def forward_full(self, qpacked, input_idx):
-        table = self._tables[input_idx]
+        table = self.components[f"table{input_idx}"]
         coords = C.unpack_coords(qpacked, self.in_shapes[input_idx])
         query_sorted = np.sort(qpacked)
         parts: list[np.ndarray] = []
@@ -1305,34 +1159,18 @@ class _FullForwardMany(OpLineageStore):
                 parts.append(arr)
         return _concat(parts)
 
-    def warm_lowered_tables(self) -> None:
-        for table in self._tables:
-            table.batch_probe().lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        return all(
-            table.n_entries == 0 or 0 in table.probe_fields()
-            for table in self._tables
-        )
-
     def scan_backward_full(self, qpacked, ticker=None):
         query = np.sort(qpacked)
         matched_cells: list[np.ndarray] = []
         per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        for i, table in enumerate(self._tables):
+        for i in range(self.arity):
+            table = self.components[f"table{i}"]
             hit_ids, intersections = table.batch_probe().intersect(query, ticker)
             if hit_ids.size:
                 matched_cells.extend(intersections)
                 per_input[i].append(table.entries_keys(hit_ids))
         matched = np.isin(qpacked, _concat(matched_cells))
         return matched, [_concat(parts) for parts in per_input]
-
-    def disk_bytes(self) -> int:
-        return sum(t.disk_bytes() for t in self._tables)
-
-    @property
-    def n_entries(self) -> int:
-        return sum(t.n_entries for t in self._tables)
 
 
 class _PayBackwardOne(OpLineageStore):
@@ -1344,27 +1182,16 @@ class _PayBackwardOne(OpLineageStore):
 
     def __init__(self, node, strategy, out_shape, in_shapes):
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._hash = HashStore(f"{node}.pay")
-
-    def _hash_stores(self):
-        return [self._hash]
-
-    def _components(self):
-        return {"pay": self._hash}
-
-    def _set_component(self, name, obj):
-        self._hash = obj
-
-    def _filter_key_arrays(self):
-        return {"b": (self._hash.keys_array(), self.out_shape)}
+        self._declare("pay", HashStore(f"{node}.pay"), "b")
 
     def ingest(self, sink: BufferSink) -> None:
+        pay = self.components["pay"]
         for rb in sink.batches:
             if not rb.is_payload:
                 continue
             out_packed = C.pack_coords(rb.out_coords, self.out_shape)
             if rb.unit:
-                self._hash.put_many(out_packed, rb.payloads, rb.payload_offsets)
+                pay.put_many(out_packed, rb.payloads, rb.payload_offsets)
                 continue
             # duplicate each pair's payload once per output cell (PayOne)
             out_counts = np.diff(rb.out_offsets)
@@ -1377,15 +1204,11 @@ class _PayBackwardOne(OpLineageStore):
             )
             offsets = np.zeros(out_packed.size + 1, dtype=np.int64)
             np.cumsum(rep_lens, out=offsets[1:])
-            self._hash.put_many(out_packed, buf, offsets)
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        self._hash.extend_from(other._hash)
+            pay.put_many(out_packed, buf, offsets)
 
     def backward_payload(self, qpacked):
         matched = np.zeros(qpacked.size, dtype=bool)
-        qidx, values = self._hash.lookup_many(qpacked)
+        qidx, values = self.components["pay"].lookup_many(qpacked)
         groups: dict[bytes, list[int]] = {}
         for pos, payload in zip(qidx, values):
             matched[pos] = True
@@ -1398,25 +1221,18 @@ class _PayBackwardOne(OpLineageStore):
 
     def backward_payload_rows(self, qpacked):
         matched = np.zeros(qpacked.size, dtype=bool)
-        qidx, values = self._hash.lookup_many(qpacked)
+        qidx, values = self.components["pay"].lookup_many(qpacked)
         if qidx.size:
             matched[qidx] = True
         return matched, qpacked[qidx], values
 
     def payload_entries(self):
-        keys, voff, vbuf = self._hash.columns()
+        keys, voff, vbuf = self.components["pay"].columns()
         koff = np.arange(keys.size + 1, dtype=np.int64)  # one key cell per entry
         return keys, koff, vbuf, voff
 
     def overridden_keys(self) -> np.ndarray:
-        return np.unique(self._hash.keys_array())
-
-    def disk_bytes(self) -> int:
-        return self._hash.disk_bytes()
-
-    @property
-    def n_entries(self) -> int:
-        return self._hash.n_entries
+        return np.unique(self.components["pay"].keys_array())
 
 
 class _PayBackwardMany(OpLineageStore):
@@ -1424,62 +1240,41 @@ class _PayBackwardMany(OpLineageStore):
 
     def __init__(self, node, strategy, out_shape, in_shapes):
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._table = RegionEntryTable(out_shape)
-
-    def _entry_tables(self):
-        return [self._table]
-
-    def _components(self):
-        return {"paytable": self._table}
-
-    def _set_component(self, name, obj):
-        self._table = obj
-
-    def _filter_key_arrays(self):
-        return {"b": (self._table.all_key_cells(), self.out_shape)}
+        self._declare("paytable", RegionEntryTable(out_shape), "b")
 
     def ingest(self, sink: BufferSink) -> None:
+        table = self.components["paytable"]
         for rb in sink.batches:
             if not rb.is_payload:
                 continue
-            self._table.add_entries(
+            table.add_entries(
                 C.pack_coords(rb.out_coords, self.out_shape),
                 np.diff(rb.out_offsets),
                 rb.payloads,
                 np.diff(rb.payload_offsets),
             )
 
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        self._table.extend_columns(*other._table.columns())
-
     def backward_payload(self, qpacked):
+        table = self.components["paytable"]
         query_sorted = np.sort(qpacked)
         coords = C.unpack_coords(qpacked, self.out_shape)
         pairs: list[tuple[np.ndarray, bytes]] = []
         matched_cells: list[np.ndarray] = []
-        for entry_id in self._table.candidate_entries(coords):
-            keys = self._table.entry_keys(int(entry_id))
+        for entry_id in table.candidate_entries(coords):
+            keys = table.entry_keys(int(entry_id))
             hit = keys[C.isin_sorted(keys, query_sorted)]
             if hit.size == 0:
                 continue
             matched_cells.append(hit)
-            pairs.append((hit, self._table.entry_value(int(entry_id))))
+            pairs.append((hit, table.entry_value(int(entry_id))))
         matched = np.isin(qpacked, _concat(matched_cells))
         return matched, pairs
 
     def payload_entries(self):
-        return self._table.columns()
+        return self.components["paytable"].columns()
 
     def overridden_keys(self) -> np.ndarray:
-        return np.unique(self._table.all_key_cells())
-
-    def disk_bytes(self) -> int:
-        return self._table.disk_bytes()
-
-    @property
-    def n_entries(self) -> int:
-        return self._table.n_entries
+        return np.unique(self.components["paytable"].keys_array())
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:

@@ -176,20 +176,6 @@ class OverlayStore(OpLineageStore):
     def source_stores(self) -> list[LineageSource]:
         return list(self._sources)
 
-    @property
-    def generations(self) -> int:
-        """Source count under its historical name (generation overlays)."""
-        return len(self._sources)
-
-    def generation_stores(self) -> list[LineageSource]:
-        return list(self._sources)
-
-    @property
-    def _gens(self) -> list[LineageSource]:
-        # pre-refactor internal name, kept readable for callers/tests that
-        # still reach for it
-        return self._sources
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -210,15 +196,13 @@ class OverlayStore(OpLineageStore):
     def lowered_ready(self) -> bool:
         return all(store.lowered_ready() for store in self._sources)
 
-    def persists_filters(self) -> bool:
-        # a flush of the overlay writes the merged concrete store, whose
-        # layout is the generations' layout
-        return self._sources[0].persists_filters()
-
     # -- writes are a layout concern ------------------------------------------
 
     def ingest(self, sink) -> None:
         raise NotImplementedError("OverlayStore is read-only; ingest into a run store")
+
+    def absorb(self, other) -> None:
+        raise NotImplementedError("OverlayStore is read-only; merge via merged_store()")
 
     # -- persistence: a full flush collapses the overlay -----------------------
 

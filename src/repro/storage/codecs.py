@@ -58,6 +58,8 @@ tag     ascii  codec       wire layout after the tag byte
 entries grouped by tag byte, each group lowered to one flat NumPy table and
 answered for every entry at once — which is what the store scan paths use
 instead of calling :func:`contains_any` / :func:`intersect` per entry.
+:class:`LoweredProbeCache` is the one owner of how those lowered tables are
+cached per value heap and persisted in segment files.
 Everything is vectorised with numpy; nothing here loops over cells.
 """
 
@@ -78,6 +80,7 @@ __all__ = [
     "IntervalCodec",
     "BitmapCodec",
     "BatchProbe",
+    "LoweredProbeCache",
     "TAG_DELTA",
     "TAG_RAW",
     "TAG_INTERVAL",
@@ -1415,6 +1418,98 @@ class BatchProbe:
         pieces = np.split(values, np.cumsum(counts)[boundaries - 1])
         for entry, piece in zip(entry_ids, pieces):
             results[int(entry)] = piece
+
+
+class LoweredProbeCache:
+    """Mixin: the per-field :class:`BatchProbe` cache of one value heap, and
+    the one owner of its persisted form.
+
+    A heap of codec-encoded cell-set values (a ``RegionEntryTable``'s value
+    column, a ``BlobStore``) answers mismatched scans through one probe per
+    value *field* (values hold one cell set per input array).  Probes, with
+    their lowered tables, are cached until the heap changes
+    (:meth:`_reset_probes`).  A flush persists the warm ones as
+    ``probe{field}.<table>`` sections listed under the heap meta's
+    ``probe_fields`` key; a segment-backed heap rehydrates them lazily, so
+    the shard holding them maps only when a scan first asks — and even a
+    fresh process pays no header walk.
+
+    The host class provides ``finalize()``, an ``_flock`` RLock,
+    ``_probe_heap()`` returning ``(buf, starts, ends)`` over every entry,
+    and ``_field_starts(field)``: each entry's offset of cell set ``field``
+    (its own bounds-checked walk).
+    """
+
+    def _reset_probes(self) -> None:
+        self._probes: dict[int, BatchProbe] = {}
+        #: ``(segment, prefix, fields)`` while persisted lowered tables are
+        #: available but not yet hydrated
+        self._probe_source: tuple | None = None
+
+    def batch_probe(self, field: int = 0, ticker=None) -> BatchProbe:
+        """Vectorised prober over every entry's cell-set ``field``.
+
+        Built over the shared heap (no per-entry byte slicing) and cached
+        until the heap changes, so a scan's per-entry verdicts cost a few
+        NumPy passes and repeat scans skip even the header walk.  ``ticker``
+        is called once per batch (the cold field-offset walk for
+        ``field > 0`` counts as one batch), so a query-time budget
+        interrupts at batch boundaries only.
+        """
+        self.finalize()
+        probe = self._probes.get(field)
+        if probe is None:
+            with self._flock:
+                probe = self._probes.get(field)
+                if probe is None:
+                    probe = self._probes[field] = self._build_probe(field, ticker)
+        return probe
+
+    def _build_probe(self, field: int, ticker) -> BatchProbe:
+        buf, starts, ends = self._probe_heap()
+        source = self._probe_source
+        if source is not None and field in source[2]:
+            # hydrate from the persisted lowered tables; this is the access
+            # that maps the shard holding them
+            seg, prefix, _ = source
+            tables = {
+                name: seg.array(f"{prefix}probe{field}.{name}")
+                for name in BatchProbe.LOWERED_NAMES
+            }
+            return BatchProbe.from_lowered(buf, ends.size, tables)
+        if field and ends.size:
+            if ticker is not None:
+                ticker()
+            starts = self._field_starts(field)
+        return BatchProbe(buf, starts, ends)
+
+    def probe_fields(self) -> set[int]:
+        """Fields whose lowered tables are warm: cached in memory, or
+        persisted in the backing segment (hydration is lazy but costs no
+        header walk, so they count as warm)."""
+        fields = {f for f, p in self._probes.items() if p._lowered is not None}
+        if self._probe_source is not None:
+            fields |= set(self._probe_source[2])
+        return fields
+
+    @staticmethod
+    def _probe_meta(n: int, fields: list[int]) -> dict:
+        """The heap's ``meta`` section: entry count and persisted fields."""
+        return {"n": n, "probe_fields": fields}
+
+    def _dump_probes(self, writer, prefix: str, fields: list[int]) -> None:
+        for field in fields:
+            # batch_probe hydrates lazily-persisted tables when needed
+            tables = self.batch_probe(field=field).lowered_tables()
+            for name in BatchProbe.LOWERED_NAMES:
+                writer.add_array(f"{prefix}probe{field}.{name}", tables[name])
+
+    def _attach_probes(self, seg, prefix: str, meta: dict) -> None:
+        """Defer hydration of the persisted lowered tables named by
+        ``meta`` (see :meth:`_probe_meta`) until a scan first asks."""
+        fields = [int(f) for f in meta.get("probe_fields", [])]
+        if fields:
+            self._probe_source = (seg, prefix, fields)
 
 
 def _concat_i64(parts: list[np.ndarray]) -> np.ndarray:

@@ -93,25 +93,6 @@ class HashStore:
         offsets = np.arange(keys.size + 1, dtype=np.int64) * 8
         self.put_many(keys, values.astype("<i8").tobytes(), offsets)
 
-    def put_many_shared(self, keys: np.ndarray, value: bytes) -> None:
-        """Append entries that each carry a *copy* of the same value.
-
-        ``PayOne`` duplicates the payload in every hash value (§VI-B); the
-        duplication is physical here so storage accounting stays honest.
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        offsets = np.arange(keys.size + 1, dtype=np.int64) * len(value)
-        self.put_many(keys, value * keys.size, offsets)
-
-    def put_one(self, key: int, value: bytes) -> None:
-        self.put_many(
-            np.asarray([key], dtype=np.int64),
-            value,
-            np.asarray([0, len(value)], dtype=np.int64),
-        )
-
     def extend_from(self, other: "HashStore") -> None:
         """Append every entry of ``other`` (the generational merge writer).
 
@@ -307,14 +288,8 @@ class HashStore:
         """Open a store :meth:`flush`-ed to ``path``."""
         return cls.from_segment(seglib.Segment.open(path), "", name)
 
-    def clear(self) -> None:
-        with self._flock:
-            self._chunks = []
-            self._segment = None
-            self._dirty = False
 
-
-class BlobStore:
+class BlobStore(codecs.LoweredProbeCache):
     """Append-only byte-blob storage with integer ids.
 
     The finalized state is one concatenated heap plus start/end offsets —
@@ -322,7 +297,10 @@ class BlobStore:
     the segment format persists, so a segment-backed load is a zero-copy
     rehydration (the heap stays an mmap view).  Appends land in a pending
     list of ``(buffer, lengths)`` chunks and are joined into the heap
-    lazily, so each append costs its own bytes only.
+    lazily, so each append costs its own bytes only.  Mismatched scans
+    probe the heap through the shared lowered-probe cache
+    (:class:`~repro.storage.codecs.LoweredProbeCache`); entry ``i`` of a
+    probe answers for blob id ``i``.
     """
 
     def __init__(self, name: str = "blobs"):
@@ -332,15 +310,13 @@ class BlobStore:
         self._ends = np.empty(0, dtype=np.int64)
         self._pending: list[tuple[bytes, np.ndarray]] = []
         self._n_pending = 0
-        self._probes: dict = {}
-        #: ``(segment, prefix, fields)`` when persisted lowered tables are
-        #: available but not yet hydrated (lazy per-shard load)
-        self._probe_source: tuple | None = None
+        self._reset_probes()
         # serializes heap finalization and probe construction so concurrent
         # reader threads cannot race a cache fill (serving contract)
         self._flock = lockcheck.make_rlock("blobstore.finalize")
 
-    def _finalize(self) -> None:
+    def finalize(self) -> None:
+        """Join pending appends into the heap."""
         if not self._pending:  # racy fast path; re-checked under the lock
             return
         with self._flock:
@@ -354,12 +330,6 @@ class BlobStore:
             self._ends = np.concatenate([self._ends, new_ends])
             self._pending = []
             self._n_pending = 0
-
-    def append(self, data: bytes) -> int:
-        return int(self.append_buffer(data, [len(data)])[0])
-
-    def append_many(self, blobs: list[bytes]) -> np.ndarray:
-        return self.append_buffer(b"".join(blobs), [len(blob) for blob in blobs])
 
     def append_buffer(self, buf, lengths: np.ndarray) -> np.ndarray:
         """Append many blobs at once from one concatenated buffer.
@@ -375,12 +345,11 @@ class BlobStore:
             raise StorageError("blob lengths do not span the buffer")
         if lengths.size == 0:
             return np.empty(0, dtype=np.int64)
-        base = len(self)
+        base = self.n_entries
         # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
         self._pending.append((buf if type(buf) is bytes else bytes(buf), lengths))
         self._n_pending += lengths.size
-        self._probes = {}
-        self._probe_source = None
+        self._reset_probes()
         return np.arange(base, base + lengths.size, dtype=np.int64)
 
     def extend_from(self, other: "BlobStore") -> int:
@@ -394,9 +363,9 @@ class BlobStore:
         The heap is kept as a ``bytearray`` while extending (one upgrade
         copy, then amortised appends), so absorbing g generations costs
         O(total bytes), not O(g * total)."""
-        other._finalize()
+        other.finalize()
         with self._flock:
-            self._finalize()
+            self.finalize()
             base = self._ends.size
             if other._ends.size:
                 if not isinstance(self._buf, bytearray):
@@ -405,98 +374,50 @@ class BlobStore:
                 self._buf += bytes(other._buf)
                 self._starts = np.concatenate([self._starts, other._starts + shift])
                 self._ends = np.concatenate([self._ends, other._ends + shift])
-                self._probes = {}
-                self._probe_source = None
+                self._reset_probes()
             return base
 
-    def batch_probe(self, field: int = 0, ticker=None) -> "codecs.BatchProbe":
-        """Vectorised prober over every blob's cell-set ``field``.
+    def _probe_heap(self):
+        return self._buf, self._starts, self._ends
 
-        Valid only when the blobs are codec-encoded cell-set values (the
-        ``FullOne`` layouts); entry ``i`` of the probe answers for blob id
-        ``i``.  Probes (with their lowered tables) are cached until the next
-        append — and segment-backed stores rehydrate them straight from the
-        persisted lowered tables, so even a fresh process pays no header
-        walk.  ``ticker`` is called once per batch (the cold field-offset
-        walk counts as one batch), so a query-time budget interrupts at
-        batch boundaries only.
-        """
-        probe = self._probes.get(field)
-        if probe is None:
-            with self._flock:
-                probe = self._probes.get(field)
-                if probe is None and self._probe_source is not None:
-                    seg, prefix, fields = self._probe_source
-                    if field in fields:
-                        # hydrate from the persisted lowered tables; this is
-                        # the access that maps the shard holding them
-                        tables = {
-                            tname: seg.array(f"{prefix}probe{field}.{tname}")
-                            for tname in codecs.BatchProbe.LOWERED_NAMES
-                        }
-                        probe = codecs.BatchProbe.from_lowered(
-                            self._buf, self._ends.size, tables
-                        )
-                        self._probes[field] = probe
-                if probe is None:
-                    self._finalize()
-                    buf, starts, ends = self._buf, self._starts, self._ends
-                    if field:
-                        if ticker is not None:
-                            ticker()
-                        shifted = np.empty(starts.size, dtype=np.int64)
-                        for j, (start, end) in enumerate(zip(starts, ends)):
-                            shifted[j] = codecs.skip_fields(
-                                buf, int(start), int(end), field
-                            )
-                        starts = shifted
-                    probe = codecs.BatchProbe(buf, starts, ends)
-                    self._probes[field] = probe
-        return probe
-
-    def probe_fields(self) -> set[int]:
-        """Fields whose lowered batch-probe tables are warm — cached, or
-        persisted in the backing segment (lazy hydration, no header walk)."""
-        fields = {f for f, p in self._probes.items() if p._lowered is not None}
-        if self._probe_source is not None:
-            fields |= set(self._probe_source[2])
-        return fields
+    def _field_starts(self, field: int) -> np.ndarray:
+        buf = self._buf
+        return np.fromiter(
+            (
+                codecs.skip_fields(buf, int(start), int(end), field)
+                for start, end in zip(self._starts, self._ends)
+            ),
+            dtype=np.int64,
+            count=self._ends.size,
+        )
 
     def get(self, blob_id: int) -> bytes:
-        self._finalize()
+        self.finalize()
         i = int(blob_id)
         if 0 <= i < self._ends.size:
             return bytes(self._buf[int(self._starts[i]): int(self._ends[i])])
         raise StorageError(f"unknown blob id {blob_id}")
 
-    def get_many(self, blob_ids: np.ndarray) -> list[bytes]:
-        return [self.get(b) for b in np.asarray(blob_ids, dtype=np.int64)]
-
-    def __len__(self) -> int:
+    @property
+    def n_entries(self) -> int:
         return self._ends.size + self._n_pending
 
     def disk_bytes(self) -> int:
         """Payload plus one offset word per blob."""
         payload = len(self._buf) + sum(len(buf) for buf, _ in self._pending)
-        return payload + 8 * len(self)
+        return payload + 8 * self.n_entries
 
     # -- persistence ---------------------------------------------------------
 
     def dump(self, writer: seglib.SegmentWriter, prefix: str = "") -> None:
         """Write the heap — and any warm lowered probe tables — into a
         segment file, so a reload probes without re-walking codec headers."""
-        self._finalize()
+        self.finalize()
         fields = sorted(self.probe_fields())
-        writer.add_json(
-            prefix + "meta", {"n": int(self._ends.size), "probe_fields": fields}
-        )
+        writer.add_json(prefix + "meta", self._probe_meta(int(self._ends.size), fields))
         writer.add_bytes(prefix + "buf", self._buf)
         writer.add_array(prefix + "ends", self._ends)
-        for field in fields:
-            # batch_probe hydrates lazily-persisted tables when needed
-            tables = self.batch_probe(field=field).lowered_tables()
-            for tname in codecs.BatchProbe.LOWERED_NAMES:
-                writer.add_array(f"{prefix}probe{field}.{tname}", tables[tname])
+        self._dump_probes(writer, prefix, fields)
 
     @classmethod
     def from_segment(
@@ -513,11 +434,7 @@ class BlobStore:
             starts[0] = 0
             starts[1:] = ends[:-1]
         store._starts = starts
-        fields = [int(f) for f in meta.get("probe_fields", [])]
-        if fields:
-            # defer hydration: the shard holding the lowered tables is
-            # mapped only when a mismatched scan first asks for a probe
-            store._probe_source = (seg, prefix, fields)
+        store._attach_probes(seg, prefix, meta)
         return store
 
     def flush(self, path: str) -> int:
@@ -529,16 +446,6 @@ class BlobStore:
     def load(cls, path: str, name: str = "blobs") -> "BlobStore":
         """Open a blob store :meth:`flush`-ed to ``path``."""
         return cls.from_segment(seglib.Segment.open(path), "", name)
-
-    def clear(self) -> None:
-        with self._flock:
-            self._buf = b""
-            self._starts = np.empty(0, dtype=np.int64)
-            self._ends = np.empty(0, dtype=np.int64)
-            self._pending = []
-            self._n_pending = 0
-            self._probes = {}
-            self._probe_source = None
 
 
 def _bases(chunks: list[_Chunk]) -> list[int]:

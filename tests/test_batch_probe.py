@@ -170,13 +170,15 @@ class TestBlobStoreBatch:
             np.arange(30, dtype=np.int64) * 3,
         ]
         for arr in sets:
-            blobs.append(codecs.encode_cells(arr))
+            value = codecs.encode_cells(arr)
+            blobs.append_buffer(value, [len(value)])
         query = np.sort(arr_of([9, 101, 33, 999]))
         probe = blobs.batch_probe()
         expected = [bool(codecs.contains_any(blobs.get(j), query)) for j in range(3)]
         assert probe.contains_any(query).tolist() == expected
         assert blobs.batch_probe() is probe  # cached while unchanged
-        blobs.append(codecs.encode_cells(arr_of([999])))
+        value = codecs.encode_cells(arr_of([999]))
+        blobs.append_buffer(value, [len(value)])
         fresh = blobs.batch_probe()
         assert fresh is not probe
         assert fresh.contains_any(query).tolist() == expected + [True]
@@ -186,7 +188,8 @@ class TestBlobStoreBatch:
 
         blobs = BlobStore("b")
         in0, in1 = arr_of([1, 2, 3]), arr_of([50, 51])
-        blobs.append(full_value([in0, in1]))
+        value = full_value([in0, in1])
+        blobs.append_buffer(value, [len(value)])
         assert blobs.batch_probe(field=0).contains_any(arr_of([2])).tolist() == [True]
         assert blobs.batch_probe(field=1).contains_any(arr_of([2])).tolist() == [False]
         assert blobs.batch_probe(field=1).contains_any(arr_of([51])).tolist() == [True]

@@ -4,9 +4,9 @@ Five layers under test:
 
 * **equivalence property** — a Hypothesis property asserts that appending a
   run as a delta generation and then compacting answers *identically* to a
-  single full flush of all the lineage, for all four Full strategies,
-  matched and mismatched, before AND after the compaction (the overlay and
-  the merge must both be exact).
+  single full flush of all the lineage, for all four Full strategies
+  (matched and mismatched) and the three payload layouts, before AND after
+  the compaction (the overlay and the merge must both be exact).
 * **generational catalog** — delta naming (``<name>.gen.<g>.seg``),
   manifest ``gen`` records (absent for never-appended catalogs, keeping
   the schema byte-compatible), ordinal collision avoidance against stale
@@ -37,19 +37,22 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FULL_MANY_B,
     FULL_ONE_B,
+    PAY_MANY_B,
     PAY_ONE_B,
     SciArray,
     SubZero,
 )
+from repro.arrays import coords as C
 from repro.arrays.versions import VersionStore
 from repro.core.catalog import StoreCatalog, store_filename
 from repro.core.costmodel import CostModel
 from repro.core.lineage_store import make_store
-from repro.core.modes import BLACKBOX, MAP
+from repro.core.modes import BLACKBOX, COMP_ONE_B, MAP, LineageMode
 from repro.core.overlay import OverlayStore
 from repro.core.query import QueryRequest
 from repro.core.runtime import LineageRuntime
@@ -64,7 +67,7 @@ from repro.storage.segment import (
 )
 from repro.workflow.recovery import QUARANTINE_SUFFIX, recover_lineage
 from tests.conftest import build_spot_spec
-from tests.test_segments import ALL_FULL, SHAPE, _answers, sinks
+from tests.test_segments import ALL_FULL, SHAPE, SIZE, _answers, sinks
 
 JOIN_TIMEOUT = 120  # seconds before a hung worker counts as a deadlock
 
@@ -99,13 +102,68 @@ def _sink(seed, n=12):
 
 QUERY = np.arange(SHAPE[0] * SHAPE[1], dtype=np.int64)
 
+#: every stored layout: the four Full ones plus the payload layouts
+ALL_STORED = [*ALL_FULL, PAY_ONE_B, PAY_MANY_B, COMP_ONE_B]
+
+
+def _packed_cells(draw, lo, hi):
+    n = draw(st.integers(lo, hi))
+    packed = draw(st.lists(st.integers(0, SIZE - 1), min_size=n, max_size=n))
+    return C.unpack_coords(np.unique(np.asarray(packed, dtype=np.int64)), SHAPE)
+
+
+@st.composite
+def mixed_sinks(draw):
+    """:func:`~tests.test_segments.sinks` plus payload pairs (multi-cell
+    regions and a one-cell-per-row batch), so every layout stores some."""
+    sink, query = draw(sinks())
+    ctx = LineageContext(frozenset(), sink=sink)
+    for _ in range(draw(st.integers(0, 4))):
+        outs = _packed_cells(draw, 1, 4)
+        ctx.lwrite_payload(outs, draw(st.binary(min_size=1, max_size=3)))
+    outs = _packed_cells(draw, 0, 6)
+    n = outs.shape[0]
+    if n:
+        radii = draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+        ctx.lwrite_payload_batch(outs, np.asarray(radii, dtype=np.uint8).reshape(n, 1))
+    return ctx.sink, query
+
+
+def _layout_answers(store, strategy, query):
+    """:func:`~tests.test_segments._answers` for every stored layout: the
+    payload layouts answer matched reads and the columnar scan surface as
+    order-free multisets; row reads, where a store offers them, must agree
+    with its matched read."""
+    if strategy.mode is LineageMode.FULL:
+        return _answers(store, strategy, query)
+    matched, pairs = store.backward_payload(query)
+    hits = {(int(c), bytes(p)) for cells, p in pairs for c in cells}
+    rows = store.backward_payload_rows(query)
+    if rows is not None:
+        assert rows[0].tolist() == matched.tolist()
+        assert set(zip(rows[1].tolist(), map(bytes, rows[2]))) == hits
+    keys, koff, vbuf, voff = store.payload_entries()
+    entries = sorted(
+        (
+            tuple(sorted(keys[koff[e]: koff[e + 1]].tolist())),
+            bytes(vbuf[voff[e]: voff[e + 1]]),
+        )
+        for e in range(koff.size - 1)
+    )
+    return (
+        matched.tolist(),
+        sorted(hits),
+        entries,
+        sorted(store.overridden_keys().tolist()),
+    )
+
 
 # -- the equivalence property --------------------------------------------------
 
 
 class TestAppendCompactEquivalence:
-    @pytest.mark.parametrize("strategy", ALL_FULL, ids=lambda s: s.label)
-    @given(case_a=sinks(), case_b=sinks())
+    @pytest.mark.parametrize("strategy", ALL_STORED, ids=lambda s: s.label)
+    @given(case_a=mixed_sinks(), case_b=mixed_sinks())
     @settings(max_examples=10, deadline=None)
     def test_append_then_compact_matches_full_flush(
         self, strategy, case_a, case_b, tmp_path_factory
@@ -117,7 +175,7 @@ class TestAppendCompactEquivalence:
         combined = make_store("n", strategy, SHAPE, (SHAPE,))
         combined.ingest(sink_a)
         combined.ingest(sink_b)
-        baseline = _answers(combined, strategy, query)
+        baseline = _layout_answers(combined, strategy, query)
 
         directory = str(tmp_path_factory.mktemp("gens"))
         key = ("n", strategy)
@@ -131,7 +189,7 @@ class TestAppendCompactEquivalence:
         assert catalog.generation_count("n", strategy) == expect_gens
         overlay = catalog.open_store("n", strategy)
         assert overlay.lowered_ready()  # every generation persisted warm
-        assert _answers(overlay, strategy, query) == baseline
+        assert _layout_answers(overlay, strategy, query) == baseline
         catalog.close()
 
         # ...and so does the single merged segment compaction writes
@@ -142,7 +200,7 @@ class TestAppendCompactEquivalence:
         fresh = StoreCatalog.open(directory)
         assert fresh.generation_count("n", strategy) == 1
         compacted = fresh.open_store("n", strategy)
-        assert _answers(compacted, strategy, query) == baseline
+        assert _layout_answers(compacted, strategy, query) == baseline
         fresh.close()
 
 
@@ -777,7 +835,7 @@ class TestFacadeAndCostModel:
         catalog, _ = StoreCatalog.append(str(tmp_path), {key: b})
         overlay = catalog.open_store("n", PAY_ONE_B)
         assert isinstance(overlay, OverlayStore)
-        assert overlay.generations == 2
+        assert overlay.sources == 2
         assert overlay.n_entries == a.n_entries + b.n_entries
         keys, koff, vbuf, voff = overlay.payload_entries()
         assert koff.size - 1 == overlay.n_entries
@@ -816,14 +874,14 @@ class TestFacadeAndCostModel:
 def _strip_filters(store):
     """Disable the loaded filters of a store / every overlay generation, so
     the same mapped data answers with the pre-filter read-everything path."""
-    gens = store._gens if isinstance(store, OverlayStore) else [store]
+    gens = store.source_stores() if isinstance(store, OverlayStore) else [store]
     for gen in gens:
         gen._filters = None
 
 
 class TestGenerationFilters:
-    @pytest.mark.parametrize("strategy", ALL_FULL, ids=lambda s: s.label)
-    @given(case_a=sinks(), case_b=sinks(), case_c=sinks())
+    @pytest.mark.parametrize("strategy", ALL_STORED, ids=lambda s: s.label)
+    @given(case_a=mixed_sinks(), case_b=mixed_sinks(), case_c=mixed_sinks())
     @settings(max_examples=8, deadline=None)
     def test_filters_are_exact_negative(
         self, strategy, case_a, case_b, case_c, tmp_path_factory
@@ -845,9 +903,9 @@ class TestGenerationFilters:
 
         catalog = StoreCatalog.open(directory)
         store = catalog.open_store("n", strategy)
-        with_filters = _answers(store, strategy, query)
+        with_filters = _layout_answers(store, strategy, query)
         _strip_filters(store)
-        without_filters = _answers(store, strategy, query)
+        without_filters = _layout_answers(store, strategy, query)
         assert with_filters == without_filters
         catalog.close()
 

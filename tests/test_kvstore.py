@@ -21,18 +21,10 @@ class TestHashStoreBasics:
         assert sorted(by_query[1]) == [100, 300]  # multimap: both kept
         assert 2 not in by_query
 
-    def test_shared_value_duplicated(self):
-        store = HashStore()
-        store.put_many_shared(np.asarray([1, 2, 3]), b"abc")
-        _, values = store.lookup_many(np.asarray([2]))
-        assert values == [b"abc"]
-        # duplication is physical: 3 keys * (8 + 3) bytes
-        assert store.disk_bytes() == 3 * 8 + 9
-
     def test_put_one_and_variable_values(self):
         store = HashStore()
-        store.put_one(7, b"xyz")
-        store.put_one(7, b"ab")
+        store.put_many(np.asarray([7]), b"xyz", np.asarray([0, 3]))
+        store.put_many(np.asarray([7]), b"ab", np.asarray([0, 2]))
         qidx, values = store.lookup_many(np.asarray([7]))
         assert sorted(values) == [b"ab", b"xyz"]
 
@@ -43,7 +35,7 @@ class TestHashStoreBasics:
 
     def test_lookup_refs_rejects_variable_width(self):
         store = HashStore()
-        store.put_one(1, b"abc")
+        store.put_many(np.asarray([1]), b"abc", np.asarray([0, 3]))
         with pytest.raises(StorageError):
             store.lookup_refs(np.asarray([1]))
 
@@ -73,13 +65,6 @@ class TestHashStoreBasics:
         store = HashStore()
         store.put_many_fixed(np.asarray([4, 4, 1]), np.asarray([0, 1, 2]))
         assert store.keys_array().tolist() == [1, 4, 4]
-
-    def test_clear(self):
-        store = HashStore()
-        store.put_one(1, b"x")
-        store.clear()
-        assert store.n_entries == 0
-        assert store.disk_bytes() == 0
 
 
 class TestHashStorePersistence:
@@ -144,17 +129,13 @@ class TestHashStoreProperties:
 class TestBlobStore:
     def test_append_get(self):
         blobs = BlobStore()
-        a = blobs.append(b"hello")
-        b = blobs.append(b"world!")
+        (a,) = blobs.append_buffer(b"hello", [5])
+        b, c = blobs.append_buffer(b"world!ab", [6, 2])
         assert blobs.get(a) == b"hello"
         assert blobs.get(b) == b"world!"
-        assert len(blobs) == 2
-
-    def test_append_many(self):
-        blobs = BlobStore()
-        ids = blobs.append_many([b"a", b"bb", b"ccc"])
-        assert ids.tolist() == [0, 1, 2]
-        assert blobs.get_many(ids) == [b"a", b"bb", b"ccc"]
+        assert blobs.get(c) == b"ab"
+        assert [a, b, c] == [0, 1, 2]
+        assert blobs.n_entries == 3
 
     def test_unknown_id(self):
         blobs = BlobStore()
@@ -163,17 +144,11 @@ class TestBlobStore:
 
     def test_disk_accounting(self):
         blobs = BlobStore()
-        blobs.append(b"12345")
+        blobs.append_buffer(b"12345", [5])
         assert blobs.disk_bytes() == 5 + 8
 
     def test_flush(self, tmp_path):
         blobs = BlobStore()
-        blobs.append(b"payload")
+        blobs.append_buffer(b"payload", [7])
         written = blobs.flush(str(tmp_path / "blobs.bin"))
         assert written > 7
-
-    def test_clear(self):
-        blobs = BlobStore()
-        blobs.append(b"x")
-        blobs.clear()
-        assert len(blobs) == 0 and blobs.disk_bytes() == 0

@@ -95,10 +95,10 @@ class TestRegionEntryTableRoundtrip:
 def test_full_store_roundtrip(tmp_path, strategy):
     store = make_store("n", strategy, SHAPE, (SHAPE,))
     store.ingest(populated_sink())
-    store.flush_to(str(tmp_path))
+    store.flush_segment(str(tmp_path / "store.seg"))
 
     clone = make_store("n", strategy, SHAPE, (SHAPE,))
-    clone.load_from(str(tmp_path))
+    clone.load_segment(str(tmp_path / "store.seg"))
     q_out = C.pack_coords(cells((0, 0), (5, 5)), SHAPE)
     q_in = C.pack_coords(cells((2, 2), (6, 6)), SHAPE)
     if strategy.orientation.value == "backward":
@@ -116,9 +116,9 @@ def test_full_store_roundtrip(tmp_path, strategy):
 def test_payload_store_roundtrip(tmp_path, strategy):
     store = make_store("n", strategy, SHAPE, (SHAPE,))
     store.ingest(payload_sink())
-    store.flush_to(str(tmp_path))
+    store.flush_segment(str(tmp_path / "store.seg"))
     clone = make_store("n", strategy, SHAPE, (SHAPE,))
-    clone.load_from(str(tmp_path))
+    clone.load_segment(str(tmp_path / "store.seg"))
     q = C.pack_coords(cells((1, 2), (4, 4)), SHAPE)
     a_matched, a_pairs = store.backward_payload(q)
     b_matched, b_pairs = clone.backward_payload(q)

@@ -386,7 +386,7 @@ class TestFreshProcessServing:
         fresh = LineageRuntime()
         fresh.load_all(str(tmp_path))
         store = fresh.store_for("spot", FULL_MANY_B)
-        probe = store._table.batch_probe(field=0)
+        probe = store.components["table"].batch_probe(field=0)
         assert probe._lowered is not None  # warm before any scan ran
         in_shape = instance.operator("spot").input_shapes[0]
         q = np.sort(C.pack_coords(np.asarray([(5, 5), (2, 2)], dtype=np.int64), in_shape))

@@ -70,6 +70,39 @@ def _neighbourhood_batch(
     np.cumsum(valid.sum(axis=1), out=set_offsets[1:])
     return neigh.reshape(-1, cells.shape[1])[valid.ravel()], set_offsets
 
+
+def _square_offsets(radius: int) -> np.ndarray:
+    """The ``(2r+1)^2`` window offsets in ij-meshgrid (ascending) order."""
+    grid = np.meshgrid(
+        np.arange(-radius, radius + 1), np.arange(-radius, radius + 1), indexing="ij"
+    )
+    return np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+
+
+def _radius_map_p_batch(
+    cells: np.ndarray, radii: np.ndarray, shape
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise payload expansion for a radius payload: row ``i`` maps to
+    its clipped radius-``radii[i]`` window (itself at radius 0).
+
+    One broadcast pass per distinct radius.  The window is ascending, so
+    each row's cells come out in ``dilate_coords``' order — row for row
+    what ``map_p_many`` returns for that cell alone."""
+    pieces, rows = [], []
+    for radius in np.unique(radii):
+        idx = np.flatnonzero(radii == radius)
+        if radius == 0:
+            pieces.append(cells[idx])
+            rows.append(idx)
+            continue
+        neigh, offsets = _neighbourhood_batch(cells[idx], _square_offsets(int(radius)), shape)
+        pieces.append(neigh)
+        rows.append(np.repeat(idx, np.diff(offsets)))
+    if not pieces:
+        return C.empty_coords(2), np.empty(0, dtype=np.int64)
+    return np.concatenate(pieces), np.concatenate(rows)
+
+
 BUILTIN_NODES = tuple(
     [
         f"{name}_{i}"
@@ -141,9 +174,7 @@ class CosmicRayDetect(Operator):
     def __init__(self, sigma_factor: float = 10.0, name: str | None = None):
         super().__init__(name)
         self.sigma_factor = float(sigma_factor)
-        r = self.radius
-        grid = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-        self._offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+        self._offsets = _square_offsets(self.radius)
 
     def _detect(self, values: np.ndarray) -> np.ndarray:
         median = ndimage.median_filter(values, size=5, mode="nearest")
@@ -196,29 +227,14 @@ class CosmicRayDetect(Operator):
         radius = payload[0]
         if radius == 0:
             return C.as_coord_array(out_coords, ndim=2)
-        grid = np.meshgrid(
-            np.arange(-radius, radius + 1), np.arange(-radius, radius + 1), indexing="ij"
-        )
-        offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
-        return dilate_coords(out_coords, offsets, self.input_shapes[0])
+        return dilate_coords(out_coords, _square_offsets(radius), self.input_shapes[0])
 
     def map_p_batch(self, out_coords, payloads, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=2)
-        radii = _payload_first_bytes(payloads)
-        pieces, rows = [], []
-        for radius in np.unique(radii):
-            idx = np.nonzero(radii == radius)[0]
-            if radius == 0:
-                pieces.append(out_coords[idx])
-                rows.append(idx)
-                continue
-            for i in idx:  # exact per-cell neighbourhoods
-                cells = self.map_p_many(out_coords[i: i + 1], bytes([radius]), input_idx)
-                pieces.append(cells)
-                rows.append(np.full(cells.shape[0], i, dtype=np.int64))
-        if not pieces:
-            return C.empty_coords(2), np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces), np.concatenate([np.atleast_1d(r) for r in rows])
+        return _radius_map_p_batch(
+            C.as_coord_array(out_coords, ndim=2),
+            _payload_first_bytes(payloads),
+            self.input_shapes[0],
+        )
 
     def runtime_cost_hint(self) -> float:
         return 8.0
@@ -239,9 +255,7 @@ class CosmicRayRemove(Operator):
 
     def __init__(self, name: str | None = None):
         super().__init__(name)
-        r = self.radius
-        grid = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-        self._offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+        self._offsets = _square_offsets(self.radius)
 
     def infer_schema(self, input_schemas):
         input_schemas[0].require_same_shape(input_schemas[1], context=self.name)
@@ -298,31 +312,15 @@ class CosmicRayRemove(Operator):
         radius = payload[0]
         if radius == 0 or input_idx != 0:
             return C.as_coord_array(out_coords, ndim=2)
-        grid = np.meshgrid(
-            np.arange(-radius, radius + 1), np.arange(-radius, radius + 1), indexing="ij"
-        )
-        offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
-        return dilate_coords(out_coords, offsets, self.input_shapes[0])
+        return dilate_coords(out_coords, _square_offsets(radius), self.input_shapes[0])
 
     def map_p_batch(self, out_coords, payloads, input_idx):
         out_coords = C.as_coord_array(out_coords, ndim=2)
-        radii = _payload_first_bytes(payloads)
         if input_idx != 0:
             return out_coords, np.arange(out_coords.shape[0], dtype=np.int64)
-        pieces, rows = [], []
-        for radius in np.unique(radii):
-            idx = np.nonzero(radii == radius)[0]
-            if radius == 0:
-                pieces.append(out_coords[idx])
-                rows.append(idx)
-                continue
-            for i in idx:
-                cells = self.map_p_many(out_coords[i: i + 1], bytes([radius]), input_idx)
-                pieces.append(cells)
-                rows.append(np.full(cells.shape[0], i, dtype=np.int64))
-        if not pieces:
-            return C.empty_coords(2), np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces), np.concatenate([np.atleast_1d(r) for r in rows])
+        return _radius_map_p_batch(
+            out_coords, _payload_first_bytes(payloads), self.input_shapes[0]
+        )
 
     def runtime_cost_hint(self) -> float:
         return 8.0
@@ -446,6 +444,28 @@ class StarDetect(Operator):
             return np.stack([g.ravel() for g in grids], axis=1)
         packed, _ = codecs.decode_cells(payload, 1)
         return C.unpack_coords(packed, self.input_shapes[0])
+
+    def map_p_batch(self, out_coords, payloads, input_idx):
+        """Identity rows pass through in one slice; a star's payload (its
+        cells or box, the same for every one of its pixels) is decoded
+        once per distinct payload, not once per row."""
+        out_coords = C.as_coord_array(out_coords, ndim=2)
+        if isinstance(payloads, np.ndarray):
+            tags = payloads[:, 0] if payloads.shape[1] else np.zeros(len(payloads))
+        else:
+            tags = np.frombuffer(
+                b"".join([p[:1] or b"\0" for p in payloads]), dtype=np.uint8
+            )
+        identity = np.flatnonzero(tags == self._TAG_IDENTITY)
+        pieces, rows = [out_coords[identity]], [identity]
+        stars: dict[bytes, list[int]] = {}
+        for i in np.flatnonzero(tags != self._TAG_IDENTITY).tolist():
+            stars.setdefault(bytes(payloads[i]), []).append(i)
+        for payload, members in stars.items():
+            cells = self.map_p_many(out_coords[members[0]: members[0] + 1], payload, input_idx)
+            pieces.append(np.tile(cells, (len(members), 1)))
+            rows.append(np.repeat(np.asarray(members, dtype=np.int64), cells.shape[0]))
+        return np.concatenate(pieces), np.concatenate(rows).astype(np.int64)
 
     def runtime_cost_hint(self) -> float:
         return 6.0

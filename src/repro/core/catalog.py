@@ -212,7 +212,9 @@ class _OpenStore:
         A sharded store maps its shards lazily, so it is charged only the
         bytes of the shards currently mapped — not its full manifest size;
         a store still loading is charged its manifest size as a
-        reservation; a closed store costs nothing.
+        reservation; a closed store costs nothing.  An open store is also
+        charged its forward payload indexes: derived state that dies with
+        it.
         """
         if self.closed:
             return 0
@@ -223,7 +225,8 @@ class _OpenStore:
         if seg is None:
             return 0
         mapped = getattr(seg, "mapped_bytes", None)
-        return mapped() if mapped is not None else self.nbytes
+        mapped = mapped() if mapped is not None else self.nbytes
+        return mapped + store.payload_index_bytes
 
 
 class StoreCatalog:
@@ -284,6 +287,8 @@ class StoreCatalog:
         self._evictions = 0
         self._promotions = 0
         self._ghost_hits = 0
+        #: forward payload index builds of stores that have since closed
+        self._retired_index_builds = 0
         #: shared generation-skip counters, injected into every overlay this
         #: catalog opens so :meth:`stats` sees process-wide filter hit rates
         self._filter_stats = FilterStats()
@@ -828,6 +833,20 @@ class StoreCatalog:
         generations = self._entries.get((node, strategy), ())
         return bool(generations) and all(e.lowered for e in generations)
 
+    def payload_index_ready(
+        self, node: str, strategy: StorageStrategy, input_idx: int
+    ) -> bool:
+        """True when the key is open in the cache and its store already
+        built the forward payload index of ``input_idx``; never opens."""
+        with self._lock:
+            record = self._open.get((node, strategy))
+        return (
+            record is not None
+            and record.store is not None
+            and not record.closed
+            and record.store.payload_index_ready(input_idx)
+        )
+
     def filters_ready(self, node: str, strategy: StorageStrategy) -> bool:
         """True only when *every* generation persisted its key filters —
         the cost model may then price matched overlay reads at the
@@ -1062,6 +1081,7 @@ class StoreCatalog:
         if not record.closed:
             record.closed = True
             if record.store is not None:
+                self._retired_index_builds += record.store.payload_index_builds
                 record.store.close()
         # release any compaction-superseded files that were waiting on this
         # record; they unlink when their last holder closes
@@ -1125,8 +1145,16 @@ class StoreCatalog:
             return (node, strategy) in self._open
 
     def stats(self) -> dict[str, int]:
-        """Serving-cache counters for benchmarks and ``explain()``."""
+        """Serving-cache counters for benchmarks and ``explain()``;
+        ``payload_index_builds`` counts every forward payload index the
+        cached stores built, ``payload_index_bytes`` what the open ones
+        hold now."""
         with self._lock:
+            stores = [
+                r.store
+                for r in (*self._open.values(), *self._lingering)
+                if r.store is not None and not r.closed
+            ]
             out = {
                 "hits": self._hits,
                 "misses": self._misses,
@@ -1135,6 +1163,9 @@ class StoreCatalog:
                 "ghost_hits": self._ghost_hits,
                 "open_mappings": len(self._open) + len(self._lingering),
                 "resident_bytes": self._resident_bytes_locked(),
+                "payload_index_builds": self._retired_index_builds
+                + sum(s.payload_index_builds for s in stores),
+                "payload_index_bytes": sum(s.payload_index_bytes for s in stores),
             }
         # the filter counters have their own lock; merged outside ours
         out.update(self._filter_stats.snapshot())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis import lockcheck
 from repro.core.modes import (
     EncodingKind,
     LineageMode,
@@ -156,6 +157,11 @@ class CostModel:
     ):
         self.stats = stats
         self.k = constants or CostConstants()
+        self._lock = lockcheck.make_lock("costmodel.rent")
+        #: per node: forward Blackbox seconds spent since a forward payload
+        #: index of the node was last built — the rent of the ski-rental
+        #: rule in :meth:`query_seconds`
+        self._rent: dict[str, float] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -257,6 +263,7 @@ class CostModel:
         generations: int = 1,
         filtered: bool = False,
         fanout: int = 1,
+        index_ready: bool = False,
     ) -> float:
         """Estimated cost of one query step over ``n_query_cells``.
 
@@ -289,6 +296,21 @@ class CostModel:
         child-catalog probe, so the optimizer sees broadcast reads as
         honestly more expensive than targeted ones (and than mapping
         functions or re-execution, which never touch the catalog).
+
+        A forward step over a (backward-indexed) payload or composite store
+        probes the store's inverted index
+        (:meth:`~repro.core.lineage_store.OpLineageStore.forward_payload_index`).
+        ``index_ready`` (``runtime.payload_index_ready``) marks it built:
+        the step is then priced as a probe — the observed warm time, or
+        ``n`` hash probes plus ``n`` mapped cells for the composite default
+        branch.  A cold index adds its build: the observed build time (kept
+        under its own key, so a one-off build never becomes the warm
+        estimate), or the old per-entry ``map_p`` scan formula, plus the
+        reopen and overlay surcharges.  A build dearer than re-execution
+        would never be bought, so the rule is ski rental: once the
+        forward re-execution seconds this node has spent since its last
+        build reach the build estimate, the cold index is priced as warm
+        and the next step builds it.
         """
         s = self.stats.get(node)
         k = self.k
@@ -305,6 +327,27 @@ class CostModel:
         measured = s.observed_query_seconds.get(
             self._observation_key(strategy, direction_backward)
         )
+        if not direction_backward and strategy.mode in (LineageMode.PAY, LineageMode.COMP):
+            # forward over a backward-indexed payload store: a probe of its
+            # inverted index, plus the index build while it is cold
+            warm = measured
+            if warm is None:
+                warm = n * k.hash_probe_s
+                if strategy.mode is LineageMode.COMP:
+                    warm += n * k.map_cell_s
+            if index_ready:
+                return warm
+            build = s.observed_query_seconds.get(self._build_key(strategy))
+            if build is None:
+                build = self.overlay_penalty_seconds(
+                    node, strategy, False, n, generations, filtered=filtered
+                ) + self._entries(s, strategy) * (
+                    k.scan_entry_s + k.payload_apply_s / 8.0
+                )
+            build += reopen
+            if self.rent_seconds(node) >= build:
+                return warm
+            return warm + build
         if measured is not None:
             # observations were taken against the live overlay, so the
             # amplification is already folded into the EMA
@@ -332,12 +375,7 @@ class CostModel:
                 return reopen + overlay + entries * k.batch_entry_s
             return reopen + overlay + entries * (k.batch_entry_s + k.decode_cell_s)
         # payload / composite strategies are always backward-optimized
-        if direction_backward:
-            cost = reopen + overlay + n * probe + n * k.payload_apply_s
-            if strategy.mode is LineageMode.COMP:
-                cost += n * k.map_cell_s
-            return cost
-        cost = reopen + overlay + entries * (k.scan_entry_s + k.payload_apply_s / 8.0)
+        cost = reopen + overlay + n * probe + n * k.payload_apply_s
         if strategy.mode is LineageMode.COMP:
             cost += n * k.map_cell_s
         return cost
@@ -395,6 +433,10 @@ class CostModel:
         arrow = "b" if direction_backward else "f"
         return f"{strategy.label}|{arrow}"
 
+    @staticmethod
+    def _build_key(strategy: StorageStrategy) -> str:
+        return f"{strategy.label}|f+index"
+
     def record_observation(
         self,
         node: str,
@@ -405,6 +447,27 @@ class CostModel:
         self.stats.record_query(
             node, self._observation_key(strategy, direction_backward), seconds
         )
+        if strategy.mode is LineageMode.BLACKBOX and not direction_backward:
+            with self._lock:
+                self._rent[node] = self._rent.get(node, 0.0) + seconds
+
+    def record_index_build(
+        self, node: str, strategy: StorageStrategy, seconds: float, done: bool = True
+    ) -> None:
+        """Observe a forward payload step that built the store's index
+        (``done``), or abandoned the build to its budget — then ``seconds``
+        is a lower bound of the build.  A finished build pays off the
+        node's rent."""
+        self.stats.record_query(node, self._build_key(strategy), seconds)
+        if done:
+            with self._lock:
+                self._rent.pop(node, None)
+
+    def rent_seconds(self, node: str) -> float:
+        """Forward re-execution seconds ``node`` spent since its last
+        forward payload index build."""
+        with self._lock:
+            return self._rent.get(node, 0.0)
 
     # -- sanity -----------------------------------------------------------------------
 

@@ -51,9 +51,12 @@ and answers per-entry verdicts or intersections in a handful of vectorised
 passes (lowered tables cached per heap by
 :class:`~repro.storage.codecs.LoweredProbeCache`, so repeat scans skip the
 header walk entirely).  The fixed-width hash layouts scan the same way, via
-one ``isin_sorted`` pass over their key/value vectors; payload layouts
-expose their columnar state (:meth:`OpLineageStore.payload_entries`) so the
-executor's payload scan batches too.  Matched backward reads are in-situ:
+one ``isin_sorted`` pass over their key/value vectors.  Payload layouts
+answer the wrong orientation from a derived :class:`PayloadForwardIndex`:
+one ``map_p`` pass over their columnar state
+(:meth:`OpLineageStore.payload_entries`) inverted into input cells with
+their output keys, cached per open store and never persisted, so a forward
+payload query is a binary search.  Matched backward reads are in-situ:
 candidate key sets are matched with one concatenated ``searchsorted`` pass,
 and only the hit entries' values — and only the requested input's field —
 are ever decoded.
@@ -93,6 +96,7 @@ from repro.storage.rtree import RTree
 
 __all__ = [
     "OpLineageStore",
+    "PayloadForwardIndex",
     "RegionEntryTable",
     "encode_full_values",
     "make_store",
@@ -545,6 +549,154 @@ class RegionEntryTable(codecs.LoweredProbeCache):
         return int(total)
 
 
+class PayloadForwardIndex(NamedTuple):
+    """A payload store's inverted lineage for one input: input cell ->
+    output keys, so a forward query is a binary search, not a ``map_p``
+    pass over the whole store.
+
+    Row ``j`` says input cell ``in_cells[j]`` (packed against the input,
+    ascending) feeds every output key of group ``groups[j]``; group ``g``
+    owns ``out_keys[group_offsets[g]:group_offsets[g + 1]]``.  A row-wise
+    entry (one output cell) is a group of one key; a multi-cell pair of a
+    ``payload_uniform`` operator is one group, so its input cells are not
+    crossed with its output cells.  ``overridden`` holds the sorted stored
+    output keys: the composite default branch must skip them.
+    """
+
+    in_cells: np.ndarray
+    groups: np.ndarray
+    group_offsets: np.ndarray
+    out_keys: np.ndarray
+    overridden: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return int(sum(a.nbytes for a in self))
+
+    def forward(self, qpacked: np.ndarray) -> np.ndarray:
+        """Packed output keys whose stored payload maps onto a query cell."""
+        q = np.asarray(qpacked, dtype=np.int64)
+        lo = np.searchsorted(self.in_cells, q, side="left")
+        hi = np.searchsorted(self.in_cells, q, side="right")
+        hit = np.unique(self.groups[C.expand_ranges(lo, hi - lo)])
+        starts = self.group_offsets[hit]
+        return self.out_keys[C.expand_ranges(starts, self.group_offsets[hit + 1] - starts)]
+
+
+def _build_payload_index(
+    store: "OpLineageStore", op, input_idx: int, ticker=None
+) -> PayloadForwardIndex:
+    """Run ``map_p`` once over every payload entry of ``store``.
+
+    Row-wise entries — single-cell entries, and every cell of a multi-cell
+    entry when the operator is not ``payload_uniform`` — expand through
+    ``map_p_batch`` (each row carries its entry's payload), one call per
+    distinct payload width over an ``(n, width)`` matrix; a multi-cell
+    entry of a uniform operator expands once per pair.  The index holds
+    copies only, never views of the segment mapping."""
+    keys, koff, vbuf, voff = store.payload_entries()
+    if ticker is not None:
+        ticker()
+    keys = np.asarray(keys, dtype=np.int64)
+    klens = np.diff(koff)
+    if op.payload_uniform:
+        row_entries = np.flatnonzero(klens == 1)
+        row_keys = keys[koff[row_entries]]
+        pair_entries = np.flatnonzero(klens > 1)
+    else:
+        row_entries = np.repeat(np.arange(klens.size, dtype=np.int64), klens)
+        row_keys = keys[: koff[-1]]
+        pair_entries = np.empty(0, dtype=np.int64)
+    in_shape = store.in_shapes[input_idx]
+    in_parts: list[np.ndarray] = []
+    group_parts: list[np.ndarray] = []
+    key_parts: list[np.ndarray] = []
+    size_parts: list[np.ndarray] = []
+    if row_entries.size:
+        starts = voff[row_entries]
+        vlens = voff[row_entries + 1] - starts
+        raw = np.frombuffer(vbuf, dtype=np.uint8)
+        out_coords = C.unpack_coords(row_keys, store.out_shape)
+        for width in np.unique(vlens):
+            # one fancy-indexed gather, no per-entry byte objects
+            rows = np.flatnonzero(vlens == width)
+            payloads = raw[starts[rows, None] + np.arange(width, dtype=np.int64)]
+            cells, hit = op.map_p_batch(out_coords[rows], payloads, input_idx)
+            in_parts.append(C.pack_coords(cells, in_shape))
+            group_parts.append(rows[hit])
+        key_parts.append(row_keys)
+        size_parts.append(np.ones(row_keys.size, dtype=np.int64))
+    n_groups = row_keys.size
+    for e in pair_entries:
+        if ticker is not None:
+            ticker()
+        out_packed = keys[koff[e]: koff[e + 1]]
+        cells = op.map_p_many(
+            C.unpack_coords(out_packed, store.out_shape),
+            bytes(vbuf[voff[e]: voff[e + 1]]),
+            input_idx,
+        )
+        packed = C.pack_coords(cells, in_shape)
+        in_parts.append(packed)
+        group_parts.append(np.full(packed.size, n_groups, dtype=np.int64))
+        key_parts.append(out_packed)
+        size_parts.append(np.asarray([out_packed.size], dtype=np.int64))
+        n_groups += 1
+    in_cells = _concat(in_parts)
+    order = np.argsort(in_cells, kind="stable")
+    group_offsets = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(_concat(size_parts), out=group_offsets[1:])
+    if store.strategy.mode is LineageMode.COMP:
+        overridden = np.unique(store.overridden_keys())
+    else:
+        overridden = np.empty(0, dtype=np.int64)
+    return PayloadForwardIndex(
+        in_cells=in_cells[order],
+        groups=_concat(group_parts)[order],
+        group_offsets=group_offsets,
+        out_keys=_concat(key_parts),
+        overridden=overridden,
+    )
+
+
+class _PayloadIndexCache:
+    """A store's :class:`PayloadForwardIndex` per input, built once.
+
+    Derived state only: it is never persisted, and it dies with the store
+    (``close`` clears it, so a closed store rebuilds from its poisoned
+    components — which raise).  Concurrent first queries build once: the
+    build runs under the lock and later callers take the cached index."""
+
+    def __init__(self):
+        self._lock = lockcheck.make_lock("store.payload_index")
+        self._indexes: dict[int, PayloadForwardIndex] = {}
+        #: indexes this cache built (cumulative)
+        self.builds = 0
+        #: bytes of the indexes it holds now
+        self.nbytes = 0
+
+    def ready(self, input_idx: int) -> bool:
+        return input_idx in self._indexes
+
+    def get(self, input_idx: int, build) -> PayloadForwardIndex:
+        index = self._indexes.get(input_idx)
+        if index is not None:
+            return index
+        with self._lock:
+            index = self._indexes.get(input_idx)
+            if index is None:
+                index = build()
+                self._indexes[input_idx] = index
+                self.builds += 1
+                self.nbytes += index.nbytes
+        return index
+
+    def clear(self) -> None:
+        with self._lock:
+            self._indexes = {}
+            self.nbytes = 0
+
+
 class _ClosedComponent:
     """Poison component installed by :meth:`OpLineageStore.close`.
 
@@ -622,6 +774,9 @@ class OpLineageStore:
         #: from the segment's filter sections; None for resident stores and
         #: segments that predate filters (probes then answer "may contain")
         self._filters: dict | None = None
+        #: forward payload indexes (derived, never persisted; see
+        #: :meth:`forward_payload_index`)
+        self._payload_index = _PayloadIndexCache()
 
     def _declare(
         self, name: str, component, surface: str | None = None, refs: bool = False
@@ -801,7 +956,9 @@ class OpLineageStore:
         the mapping actually unmap — and any later read through this store
         raises :class:`~repro.errors.StorageError` rather than silently
         answering empty off freed state.  Safe to call on resident stores
-        (no-op) and safe to call twice."""
+        (which only drop their derived forward indexes) and safe to call
+        twice."""
+        self._payload_index.clear()
         seg, self._segment = self._segment, None
         if seg is None:
             return
@@ -904,15 +1061,38 @@ class OpLineageStore:
         where entry ``e`` owns key cells ``keys[koff[e]:koff[e+1]]`` and
         payload bytes ``vbuf[voff[e]:voff[e+1]]``.
 
-        This replaces the old per-entry cursor: a mismatched payload scan
-        batches over the columns (one vectorised key-length split, one
-        ``map_p`` batch for the single-cell entries) instead of looping a
-        Python generator over every stored entry.
+        The forward payload index is built from this surface (one
+        vectorised key-length split, one ``map_p`` batch for the row-wise
+        entries) instead of a Python loop over every stored entry.
         """
         raise LineageError(f"{self.strategy.label} stores no payload entries")
 
     def overridden_keys(self) -> np.ndarray:
         raise LineageError(f"{self.strategy.label} stores no payload entries")
+
+    def forward_payload_index(
+        self, op, input_idx: int, ticker=None
+    ) -> PayloadForwardIndex:
+        """The inverted (input cell -> output key) payload lineage of input
+        ``input_idx``, built on first use from :meth:`payload_entries` and
+        cached until the store closes.  ``ticker`` is called between the
+        build's passes, so a query budget can abandon a build."""
+        return self._payload_index.get(
+            input_idx, lambda: _build_payload_index(self, op, input_idx, ticker)
+        )
+
+    def payload_index_ready(self, input_idx: int) -> bool:
+        """True when :meth:`forward_payload_index` would not build."""
+        return self._payload_index.ready(input_idx)
+
+    @property
+    def payload_index_builds(self) -> int:
+        return self._payload_index.builds
+
+    @property
+    def payload_index_bytes(self) -> int:
+        """Memory held by the cached forward indexes."""
+        return self._payload_index.nbytes
 
     # -- accounting -----------------------------------------------------------------
 

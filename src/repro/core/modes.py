@@ -107,7 +107,8 @@ class StorageStrategy:
         if self.mode is LineageMode.PAY and self.orientation is Orientation.FORWARD:
             # Payloads are opaque blobs; they cannot be indexed by input cell
             # (§V-A.3: "the payload is a binary blob that cannot be easily
-            # indexed").  Forward payload queries scan instead.
+            # indexed").  Forward payload queries invert them instead, once
+            # per open store (OpLineageStore.forward_payload_index).
             raise LineageError("payload lineage cannot be forward-optimized")
 
     @property

@@ -34,10 +34,11 @@ Design points:
   source adds a probe pass, which is the *read amplification* the cost
   model prices (:meth:`~repro.core.costmodel.CostModel.overlay_penalty_seconds`)
   and :meth:`~repro.core.catalog.StoreCatalog.compact` removes.
-* **Payload scans pay the amplification most visibly**: the executor's
-  columnar forward scan wants one ``(keys, koff, vbuf, voff)`` surface, so
-  the overlay concatenates the sources' columns on first use (cached —
-  sources are immutable once opened).
+* **Forward payload queries pay the amplification once**: the forward
+  payload index (:meth:`~repro.core.lineage_store.OpLineageStore.forward_payload_index`)
+  is built from one ``(keys, koff, vbuf, voff)`` surface, which the
+  overlay stitches from its sources' columns; the index is cached on the
+  overlay, so later probes see one table, not one per source.
 * The overlay is read-only: ingest/absorb go to the concrete layouts.  A
   full (non-append) re-flush of an overlay collapses it — the segment it
   writes is the compacted merge.
@@ -160,9 +161,6 @@ class OverlayStore(OpLineageStore):
         self._sources: list[LineageSource] = list(stores)
         self.kind = kind
         self._segment = _OverlaySegments(self._sources)
-        #: cached concatenation of the sources' payload columns
-        self._merged_payload: tuple | None = None
-        self._plock = lockcheck.make_lock("overlay.payload")
         #: source-skip counters (shared with the owning catalog)
         self._fstats = filter_stats if filter_stats is not None else FilterStats()
 
@@ -179,9 +177,8 @@ class OverlayStore(OpLineageStore):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        with self._plock:
-            self._segment = None
-            self._merged_payload = None
+        self._payload_index.clear()
+        self._segment = None
         for store in self._sources:
             store.close()
 
@@ -353,44 +350,32 @@ class OverlayStore(OpLineageStore):
         return matched, [_concat(parts) for parts in per_input]
 
     def payload_entries(self):
-        """Concatenated columnar payload surface across the generations.
-
-        Built once and cached (generations are immutable once opened); this
-        concat IS the payload-path read amplification compaction removes —
-        a compacted store hands back its own columns with no copy.
-        """
-        with self._plock:
-            if self._merged_payload is None:
-                key_parts: list[np.ndarray] = []
-                klen_parts: list[np.ndarray] = []
-                vbuf_parts: list[bytes] = []
-                vlen_parts: list[np.ndarray] = []
-                for store in self._sources:
-                    keys, koff, vbuf, voff = store.payload_entries()
-                    if koff.size <= 1:
-                        continue
-                    key_parts.append(np.asarray(keys, dtype=np.int64))
-                    klen_parts.append(np.diff(np.asarray(koff, dtype=np.int64)))
-                    vbuf_parts.append(bytes(vbuf))
-                    vlen_parts.append(np.diff(np.asarray(voff, dtype=np.int64)))
-                if not key_parts:
-                    empty = np.empty(0, dtype=np.int64)
-                    zero = np.zeros(1, dtype=np.int64)
-                    self._merged_payload = (empty, zero, b"", zero)
-                else:
-                    klens = np.concatenate(klen_parts)
-                    vlens = np.concatenate(vlen_parts)
-                    koff = np.zeros(klens.size + 1, dtype=np.int64)
-                    np.cumsum(klens, out=koff[1:])
-                    voff = np.zeros(vlens.size + 1, dtype=np.int64)
-                    np.cumsum(vlens, out=voff[1:])
-                    self._merged_payload = (
-                        np.concatenate(key_parts),
-                        koff,
-                        b"".join(vbuf_parts),
-                        voff,
-                    )
-            return self._merged_payload
+        """Concatenated columnar payload surface across the sources — the
+        input of the overlay's forward payload index, which is what gets
+        cached (sources are immutable once opened)."""
+        key_parts: list[np.ndarray] = []
+        klen_parts: list[np.ndarray] = []
+        vbuf_parts: list[bytes] = []
+        vlen_parts: list[np.ndarray] = []
+        for store in self._sources:
+            keys, koff, vbuf, voff = store.payload_entries()
+            if koff.size <= 1:
+                continue
+            key_parts.append(np.asarray(keys, dtype=np.int64))
+            klen_parts.append(np.diff(np.asarray(koff, dtype=np.int64)))
+            vbuf_parts.append(bytes(vbuf))
+            vlen_parts.append(np.diff(np.asarray(voff, dtype=np.int64)))
+        if not key_parts:
+            empty = np.empty(0, dtype=np.int64)
+            zero = np.zeros(1, dtype=np.int64)
+            return empty, zero, b"", zero
+        klens = np.concatenate(klen_parts)
+        vlens = np.concatenate(vlen_parts)
+        koff = np.zeros(klens.size + 1, dtype=np.int64)
+        np.cumsum(klens, out=koff[1:])
+        voff = np.zeros(vlens.size + 1, dtype=np.int64)
+        np.cumsum(vlens, out=voff[1:])
+        return np.concatenate(key_parts), koff, b"".join(vbuf_parts), voff
 
     def overridden_keys(self) -> np.ndarray:
         return np.unique(

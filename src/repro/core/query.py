@@ -320,10 +320,11 @@ class _Budget:
     ``tick`` tests the deadline on every call because every call site is
     now per *batch*, not per entry: BatchProbe's lowering walk ticks once
     per codec-tag batch, the blob/table field-offset walks tick once per
-    walk, and payload scans tick per column pass.  That keeps the check
-    itself off the hot path — and means a cold lowering walk can only be
-    interrupted at batch boundaries, so a budget that fires mid-scan no
-    longer throws away an almost-finished (and cacheable) lowering.
+    walk, and a forward payload index build ticks per pass.  That keeps
+    the check itself off the hot path — and means a cold lowering walk can
+    only be interrupted at batch boundaries, so a budget that fires
+    mid-scan no longer throws away an almost-finished (and cacheable)
+    lowering.
     """
 
     __slots__ = ("deadline", "_start")
@@ -441,6 +442,11 @@ class QueryResult:
                 f"{c.get('open_mappings', 0)} open mappings "
                 f"({c.get('resident_bytes', 0)} resident bytes)"
             )
+            if c.get("payload_index_builds", 0) or c.get("payload_index_bytes", 0):
+                lines.append(
+                    f"  forward payload indexes: {c.get('payload_index_builds', 0)} "
+                    f"builds, {c.get('payload_index_bytes', 0)} resident bytes"
+                )
             if c.get("deferred_pairs", 0) or c.get("capture_seconds", 0.0):
                 lines.append(
                     f"  deferred capture: {c.get('deferred_pairs', 0)} pairs / "
@@ -621,7 +627,13 @@ class QueryExecutor:
             )
 
         qpacked = frontier.packed()
-        strategy = self._choose_strategy(node, op, backward, qpacked.size, opt)
+        strategy = self._choose_strategy(node, op, backward, idx, qpacked.size, opt)
+        # a forward step over a payload store whose index is still cold
+        # pays the index build: it is observed apart from the warm probes
+        building = False
+        if not backward and strategy.mode in (LineageMode.PAY, LineageMode.COMP):
+            store = session.store_for(node, strategy)
+            building = store is not None and not store.payload_index_ready(idx)
         budget = None
         if opt and strategy.stores_pairs:
             blackbox_estimate = self.cost_model.reexec_seconds(node)
@@ -633,7 +645,11 @@ class QueryExecutor:
                 budget, session,
             )
         except _BudgetExceeded:
+            # the abandoned attempt is charged to the strategy that blew its
+            # budget; only the re-execution below is charged to Blackbox
             switched = True
+            rerun = time.perf_counter()
+            self._observe(node, strategy, backward, building, rerun - start, done=False)
             packed = self._run_strategy(
                 node, op, BLACKBOX, qpacked, idx, backward, out_shape, in_shape,
                 None, session,
@@ -644,10 +660,12 @@ class QueryExecutor:
             dropped = int(packed.size - np.count_nonzero(in_range))
             packed = packed[in_range]
             next_frontier.add_packed(np.unique(packed))
-        seconds = time.perf_counter() - start
-        self.cost_model.record_observation(
-            node, strategy if not switched else BLACKBOX, backward, seconds
-        )
+        end = time.perf_counter()
+        seconds = end - start
+        if switched:
+            self._observe(node, BLACKBOX, backward, False, end - rerun)
+        else:
+            self._observe(node, strategy, backward, building, seconds)
         label = strategy.label if not switched else f"{strategy.label}->Blackbox"
         return next_frontier, StepStats(
             node,
@@ -660,10 +678,33 @@ class QueryExecutor:
             dropped_cells=dropped,
         )
 
+    def _observe(
+        self,
+        node: str,
+        strategy: StorageStrategy,
+        backward: bool,
+        building: bool,
+        seconds: float,
+        done: bool = True,
+    ) -> None:
+        """Feed one step's time to the cost model: a forward payload step
+        that built (``done``) or abandoned its index build under the build
+        key, everything else under its strategy's key."""
+        if building:
+            self.cost_model.record_index_build(node, strategy, seconds, done=done)
+        else:
+            self.cost_model.record_observation(node, strategy, backward, seconds)
+
     # -- strategy selection (query-time optimizer, §VII-A) ----------------------------
 
     def _choose_strategy(
-        self, node: str, op: Operator, backward: bool, n_cells: int, opt: bool
+        self,
+        node: str,
+        op: Operator,
+        backward: bool,
+        idx: int,
+        n_cells: int,
+        opt: bool,
     ) -> StorageStrategy:
         assigned = list(self.runtime.strategies_for(node))
         if not opt:
@@ -694,6 +735,10 @@ class QueryExecutor:
                 backward,
                 n_cells,
                 lowered_ready=self.runtime.lowered_ready(node, strategy),
+                index_ready=(
+                    not backward
+                    and self.runtime.payload_index_ready(node, strategy, idx)
+                ),
                 reopen_bytes=self.runtime.reopen_bytes(node, strategy),
                 # multi-generation scan planning: an un-compacted store pays
                 # one probe/scan pass per live generation, so its overlay
@@ -769,7 +814,7 @@ class QueryExecutor:
         # PAY / COMP
         if backward:
             return self._payload_backward(op, store, strategy, qpacked, idx, out_shape, in_shape)
-        return self._payload_forward(op, store, strategy, qpacked, idx, out_shape, in_shape, budget)
+        return self._payload_forward(op, store, strategy, qpacked, idx, out_shape, in_shape, ticker)
 
     def _payload_backward(
         self,
@@ -833,66 +878,16 @@ class QueryExecutor:
         idx: int,
         out_shape: tuple[int, ...],
         in_shape: tuple[int, ...],
-        budget: _Budget | None,
+        ticker,
     ) -> np.ndarray:
-        query = np.sort(qpacked)
-        parts: list[np.ndarray] = []
-        # columnar scan surface: one key-length split over the whole store,
-        # then one vectorised map_p batch for the single-cell entries —
-        # the per-entry cursor loop this path used to run is gone
-        keys, koff, vbuf, voff = store.payload_entries()
-        if budget is not None:
-            budget.tick()
-        n_entries = koff.size - 1
-        if n_entries:
-            klens = np.diff(koff)
-            single = np.flatnonzero(klens == 1)
-            multi = np.flatnonzero(klens != 1)
-            if single.size:
-                out_packed = np.asarray(keys[koff[single]], dtype=np.int64)
-                starts = voff[single]
-                vlens = voff[single + 1] - starts
-                width = int(vlens[0])
-                if (vlens == width).all():
-                    # fixed-width payloads: one fancy-indexed gather into an
-                    # (n, width) matrix, no per-entry byte slicing
-                    raw = np.frombuffer(vbuf, dtype=np.uint8)
-                    payloads = raw[starts[:, None] + np.arange(width, dtype=np.int64)]
-                else:
-                    payloads = [bytes(vbuf[voff[e]: voff[e + 1]]) for e in single]
-                coords = C.unpack_coords(out_packed, out_shape)
-                cells, rows = op.map_p_batch(coords, payloads, idx)
-                inp = C.pack_coords(cells, in_shape)
-                hit_rows = np.unique(rows[C.isin_sorted(inp, query)])
-                if hit_rows.size:
-                    parts.append(out_packed[hit_rows])
-            for e in multi:
-                # multi-cell region-pair payloads: map_p is op-defined per
-                # pair, so these few entries keep a per-pair call
-                if budget is not None:
-                    budget.tick()
-                e = int(e)
-                out_packed = np.asarray(keys[koff[e]: koff[e + 1]], dtype=np.int64)
-                payload = bytes(vbuf[voff[e]: voff[e + 1]])
-                coords = C.unpack_coords(out_packed, out_shape)
-                if op.payload_uniform:
-                    cells = op.map_p_many(coords, payload, idx)
-                    if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
-                        parts.append(out_packed)
-                else:
-                    for i in range(coords.shape[0]):
-                        cells = op.map_p_many(coords[i: i + 1], payload, idx)
-                        if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
-                            parts.append(out_packed[i: i + 1])
+        # the store's inverted index turns the mismatched orientation into
+        # one binary search; its one build runs map_p over every entry
+        index = store.forward_payload_index(op, idx, ticker=ticker)
+        parts = [index.forward(qpacked)]
         if strategy.mode is LineageMode.COMP:
             coords = C.unpack_coords(qpacked, in_shape)
             default = C.pack_coords(op.map_f_many(coords, idx), out_shape)
-            overridden = store.overridden_keys()
-            if overridden.size:
-                default = default[~np.isin(default, overridden)]
-            parts.append(default)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
+            parts.append(default[~C.isin_sorted(default, index.overridden)])
         return np.concatenate(parts)
 
 

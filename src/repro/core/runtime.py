@@ -262,7 +262,8 @@ class LineageRuntime:
         locks (see :mod:`repro.analysis.lockcheck`) — plus the deferred-
         capture counters (capture/encode-thread seconds, parked pairs and
         bytes), plus the generation-filter and background-maintenance
-        counters."""
+        counters.  ``payload_index_builds`` / ``payload_index_bytes``
+        count the forward payload indexes of catalog and resident stores."""
         if self._catalog is not None:
             stats = self._catalog.stats()
         else:
@@ -275,7 +276,12 @@ class LineageRuntime:
                 "filter_probes": 0,
                 "generations_skipped": 0,
                 "bloom_fp": 0,
+                "payload_index_builds": 0,
+                "payload_index_bytes": 0,
             }
+        for store in self._stores.values():
+            stats["payload_index_builds"] += store.payload_index_builds
+            stats["payload_index_bytes"] += store.payload_index_bytes
         stats.update(lockcheck.stats())
         stats.update(self.stats.capture)
         stats.update(self.stats.maintenance)
@@ -297,6 +303,22 @@ class LineageRuntime:
             return store.lowered_ready()
         if self._catalog is not None:
             return self._catalog.lowered_ready(node, strategy)
+        return False
+
+    def payload_index_ready(
+        self, node: str, strategy: StorageStrategy, input_idx: int
+    ) -> bool:
+        """True when (node, strategy)'s forward payload index for input
+        ``input_idx`` is built — the store is resident, or open in the
+        catalog cache, and already answered a forward payload query.
+        Answered without opening anything."""
+        if strategy.mode not in (LineageMode.PAY, LineageMode.COMP):
+            return False
+        store = self._stores.get((node, strategy))
+        if store is not None:
+            return store.payload_index_ready(input_idx)
+        if self._catalog is not None:
+            return self._catalog.payload_index_ready(node, strategy, input_idx)
         return False
 
     def filters_ready(self, node: str, strategy: StorageStrategy) -> bool:

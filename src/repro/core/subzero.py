@@ -337,6 +337,18 @@ class SubZero:
         if worker is not None:
             worker.stop(timeout)
 
+    def _serving_runtime(self) -> LineageRuntime:
+        """A runtime for an engine that serves without running: it carries
+        the plan's store-less strategies (mapping functions), while the
+        stored ones come from the catalog manifest it attaches — a stored
+        strategy the catalog lacks would have no store to read."""
+        runtime = LineageRuntime(stats=self.stats)
+        for node, strategies in self._strategy_map.items():
+            storeless = [s for s in strategies if not s.stores_pairs]
+            if storeless:
+                runtime.set_strategies(node, storeless)
+        return runtime
+
     def load_lineage(
         self, directory: str, memory_budget_bytes: int | None = None
     ) -> int:
@@ -347,7 +359,7 @@ class SubZero:
         stores the catalog records.  ``memory_budget_bytes`` (defaulting to
         the facade-level budget) bounds the open-store cache."""
         if self.runtime is None:
-            self.runtime = LineageRuntime(stats=self.stats)
+            self.runtime = self._serving_runtime()
         if memory_budget_bytes is None:
             memory_budget_bytes = self.memory_budget_bytes
         loaded = self.runtime.load_all(
@@ -380,7 +392,7 @@ class SubZero:
 
         self.instance = recover_instance(self.spec, versions, wal or self.wal)
         if self.runtime is None:
-            self.runtime = LineageRuntime(stats=self.stats)
+            self.runtime = self._serving_runtime()
         if lineage_dir is not None:
             self.runtime.load_all(
                 lineage_dir, memory_budget_bytes=self.memory_budget_bytes

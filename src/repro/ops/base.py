@@ -329,8 +329,8 @@ class Operator:
         raise LineageError(f"{self.name} defines no payload mapping function")
 
     #: True when ``map_p`` returns the same input cells for every output
-    #: cell of a pair (e.g. all pixels of one detected star).  Lets forward
-    #: payload scans test a pair once instead of per cell.
+    #: cell of a pair (e.g. all pixels of one detected star).  Lets the
+    #: forward payload index expand a pair once instead of per cell.
     payload_uniform: bool = False
 
     def map_p_batch(

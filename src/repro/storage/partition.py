@@ -667,6 +667,21 @@ class PartitionedCatalog:
             child.lowered_ready(node, strategy) for child in holders
         )
 
+    def payload_index_ready(
+        self, node: str, strategy: StorageStrategy, input_idx: int
+    ) -> bool:
+        """A key served by one partition is warm when that child's store
+        is; a key spanning partitions gets a fresh union (and index) per
+        borrow, so it is never warm."""
+        holders = [
+            child
+            for _pid, child in self._children_for(node)
+            if child.generation_count(node, strategy)
+        ]
+        return len(holders) == 1 and holders[0].payload_index_ready(
+            node, strategy, input_idx
+        )
+
     def filters_ready(self, node: str, strategy: StorageStrategy) -> bool:
         holders = [
             child

@@ -10,6 +10,7 @@ from repro.core.costmodel import CostModel
 from repro.core.model import Direction, LineageQuery
 from repro.core.modes import (
     BLACKBOX,
+    COMP_ONE_B,
     FULL_MANY_B,
     FULL_ONE_B,
     FULL_ONE_F,
@@ -122,6 +123,33 @@ class TestCostModel:
         model = CostModel(stats)
         model.record_observation("udf", FULL_ONE_B, True, 42.0)
         assert model.query_seconds("udf", FULL_ONE_B, True, 100) == 42.0
+
+    def test_forward_payload_index_pricing(self):
+        """A warm index is a probe; a cold one adds its build, whose
+        measurement has its own key; forward re-execution rent that
+        reaches the build estimate prices the cold index as warm."""
+        model = CostModel(seeded_stats())
+        k = model.k
+        warm = model.query_seconds("udf", PAY_ONE_B, False, 100, index_ready=True)
+        assert warm == pytest.approx(100 * k.hash_probe_s)
+        comp = model.query_seconds("udf", COMP_ONE_B, False, 100, index_ready=True)
+        assert comp == pytest.approx(100 * (k.hash_probe_s + k.map_cell_s))
+        build = 1000 * (k.scan_entry_s + k.payload_apply_s / 8.0)
+        assert model.query_seconds("udf", PAY_ONE_B, False, 100) == pytest.approx(warm + build)
+        model.record_index_build("udf", PAY_ONE_B, 0.5)
+        assert model.query_seconds("udf", PAY_ONE_B, False, 100, index_ready=True) == warm
+        assert model.query_seconds("udf", PAY_ONE_B, False, 100) == pytest.approx(warm + 0.5)
+        model.record_observation("udf", BLACKBOX, False, 0.3)
+        model.record_observation("udf", BLACKBOX, True, 0.3)  # backward pays no rent
+        assert model.rent_seconds("udf") == pytest.approx(0.3)
+        assert model.query_seconds("udf", PAY_ONE_B, False, 100) == pytest.approx(warm + 0.5)
+        model.record_observation("udf", BLACKBOX, False, 0.3)
+        assert model.query_seconds("udf", PAY_ONE_B, False, 100) == pytest.approx(warm)
+        model.record_index_build("udf", PAY_ONE_B, 0.5, done=False)  # abandoned
+        assert model.rent_seconds("udf") == pytest.approx(0.6)
+        model.record_index_build("udf", PAY_ONE_B, 0.5)
+        assert model.rent_seconds("udf") == 0.0
+        assert model.query_seconds("udf", PAY_ONE_B, False, 100) == pytest.approx(warm + 0.5)
 
     def test_require_profiled(self):
         model = CostModel(StatsCollector())

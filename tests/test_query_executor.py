@@ -1,6 +1,8 @@
 """Behavioural tests for the query executor: shortcuts, dedup, validation,
 the static vs dynamic strategy choice, and the dynamic blackbox switch."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,37 @@ class TestDynamicSwitch:
             [(i, j) for i in range(8) for j in range(8)], [("spot", 0)]
         )
         assert {tuple(c) for c in res.coords} == {tuple(c) for c in expected.coords}
+
+
+class TestBudgetAttribution:
+    def test_abandoned_attempt_is_charged_to_the_stored_strategy(self, image, monkeypatch):
+        """A stored read that always blows its budget: the abandoned
+        attempt is observed under the stored strategy, the re-execution
+        alone under Blackbox — so the next query re-executes outright."""
+        sz = SubZero(build_spot_spec(), enable_query_opt=True)
+        sz.set_strategy("spot", FULL_ONE_B)
+        sz.run({"img": image})
+
+        def never_done(qpacked, input_idx, ticker=None):
+            while True:
+                time.sleep(0.005)
+                ticker()
+
+        store = sz.runtime.resident_store("spot", FULL_ONE_B)
+        monkeypatch.setattr(store, "scan_forward_full", never_done)
+        stats = sz.stats.get("spot")
+        stats.reexec_seconds = 0.001  # cheap estimate: budget is the 50 ms floor
+        stats.observed_query_seconds.clear()
+        cells = [(i, j) for i in range(4) for j in range(4)]
+        first = sz.forward_query(cells, [("spot", 0)]).steps[0]
+        assert first.switched_to_blackbox
+        assert first.method == "<-FullOne->Blackbox"
+        observed = stats.observed_query_seconds
+        assert observed["<-FullOne|f"] >= 0.05
+        assert observed["Blackbox|f"] < 0.05
+        assert first.seconds >= observed["<-FullOne|f"] + observed["Blackbox|f"]
+        second = sz.forward_query(cells, [("spot", 0)]).steps[0]
+        assert second.method == "Blackbox" and not second.switched_to_blackbox
 
 
 class TestStepStats:

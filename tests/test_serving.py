@@ -1,6 +1,6 @@
 """The concurrent serving core: sessions, pinning, LRU eviction, shards.
 
-Five layers under test:
+Six layers under test:
 
 * **threaded stress** — N threads x M mixed backward/forward queries
   against one catalog with a tiny ``memory_budget_bytes``, asserting the
@@ -19,10 +19,13 @@ Five layers under test:
   ``catalog.json`` intact (tmp + rename), not a truncated brick.
 * **lifecycle** — Segment refcounting, catalog/SubZero close() and context
   managers, serving counters on ``QueryResult.explain()``.
+* **forward payload index** — racing cold queries build one index, a warm
+  repeat calls no ``map_p``, and eviction drops the index's bytes.
 """
 
 import json
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -313,6 +316,103 @@ class TestPinningAndEviction:
                 churner.join(timeout=JOIN_TIMEOUT)
             assert not churner.is_alive()
             assert sz.runtime.serving_stats()["evictions"] > 0
+
+
+# -- the forward payload index under concurrency --------------------------------
+
+
+def _count_map_p(op, monkeypatch, delay: float = 0.0) -> dict:
+    """Wrap ``op``'s ``map_p_many`` / ``map_p_batch`` on the instance and
+    count their calls (``delay`` holds each call open, so racing threads
+    pile up behind a build)."""
+    calls = {"n": 0}
+    lock = threading.Lock()
+    for name in ("map_p_many", "map_p_batch"):
+        inner = getattr(op, name)
+
+        def wrapped(*args, _inner=inner, **kwargs):
+            with lock:
+                calls["n"] += 1
+            if delay:
+                time.sleep(delay)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(op, name, wrapped)
+    return calls
+
+
+def _payload_forward_jobs(flushed):
+    return [
+        (i, job)
+        for i, job in enumerate(flushed["jobs"])
+        if job[0] == "f" and job[2] == ["s3"]
+    ]
+
+
+@pytest.mark.timeout(300)
+class TestForwardPayloadIndexServing:
+    """``s3`` is a PAY_ONE_B store: forward queries over it probe the
+    store's inverted index, built once per open store."""
+
+    def test_racing_cold_queries_build_once(self, flushed_workflow, monkeypatch):
+        (i, job), *_ = _payload_forward_jobs(flushed_workflow)
+        with _resume_engine(flushed_workflow) as sz:
+            _count_map_p(sz.instance.operator("s3"), monkeypatch, delay=0.02)
+            barrier = threading.Barrier(8)
+
+            def query(_):
+                barrier.wait(timeout=JOIN_TIMEOUT)
+                return _coords_set(_run_job(sz, job))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the racers finely
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    answers = list(pool.map(query, range(8), timeout=JOIN_TIMEOUT))
+            finally:
+                sys.setswitchinterval(interval)
+            assert answers == [flushed_workflow["baseline"][i]] * 8
+            stats = sz.runtime.serving_stats()
+            assert stats["payload_index_builds"] == 1
+            assert stats["payload_index_bytes"] > 0
+
+    def test_warm_repeat_calls_no_map_p(self, flushed_workflow, monkeypatch):
+        jobs = _payload_forward_jobs(flushed_workflow)
+        with _resume_engine(flushed_workflow) as sz:
+            calls = _count_map_p(sz.instance.operator("s3"), monkeypatch)
+            _run_job(sz, jobs[0][1])
+            assert calls["n"] > 0
+            calls["n"] = 0
+            for i, job in jobs:
+                result = _run_job(sz, job)
+                assert _coords_set(result) == flushed_workflow["baseline"][i]
+            assert calls["n"] == 0
+            assert "forward payload indexes: 1 builds" in result.explain()
+
+    def test_eviction_drops_index_bytes(self, flushed_workflow):
+        (_, job), *_ = _payload_forward_jobs(flushed_workflow)
+        with _resume_engine(flushed_workflow) as sz:
+            catalog = sz.runtime.catalog
+            _run_job(sz, job)
+            stats = catalog.stats()
+            index_bytes = stats["payload_index_bytes"]
+            assert index_bytes > 0
+            assert catalog.resident_bytes() == (
+                catalog.manifest_bytes("s3", PAY_ONE_B) + index_bytes
+            )
+            # room for s1 alone: borrowing it evicts s3 and its index
+            catalog.memory_budget_bytes = catalog.manifest_bytes("s1", FULL_ONE_B)
+            _run_job(sz, ("b", job[1], ["s1"]))
+            assert not catalog.is_open("s3", PAY_ONE_B)
+            stats = catalog.stats()
+            assert stats["evictions"] >= 1
+            assert stats["payload_index_bytes"] == 0
+            assert stats["payload_index_builds"] == 1
+            assert catalog.resident_bytes() == catalog.manifest_bytes("s1", FULL_ONE_B)
+            # a reopened store builds its index again
+            catalog.memory_budget_bytes = None
+            _run_job(sz, job)
+            assert catalog.stats()["payload_index_builds"] == 2
 
 
 # -- sharded segments ----------------------------------------------------------

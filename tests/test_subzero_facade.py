@@ -10,6 +10,7 @@ from repro import (
     SciArray,
     SubZero,
 )
+from repro.arrays.versions import VersionStore
 from repro.errors import QueryError, WorkflowError
 from tests.conftest import build_spot_spec
 
@@ -97,3 +98,39 @@ class TestRunAndAccounting:
         sz = SubZero(build_spot_spec())
         sz.run({"img": image}, version_store=store)
         assert len(store) == 4
+
+
+class TestResumedPlan:
+    @pytest.mark.parametrize("attach", ["resume", "load_lineage"])
+    def test_resumed_engine_keeps_mapping_plan(self, image, tmp_path, attach):
+        """A resumed engine serves the built-ins by their mapping functions
+        (the plan's store-less strategies) and the stored node from the
+        catalog, answering exactly like the live engine."""
+
+        def engine():
+            sz = SubZero(build_spot_spec(), enable_query_opt=False)
+            sz.use_mapping_where_possible()
+            sz.set_strategy("spot", FULL_ONE_B)
+            return sz
+
+        versions = VersionStore()
+        live = engine()
+        live.run({"img": image}, version_store=versions)
+        live.flush_lineage(str(tmp_path))
+        resumed = engine()
+        if attach == "load_lineage":
+            resumed.load_lineage(str(tmp_path))
+            resumed.resume(versions, wal=live.wal)
+        else:
+            resumed.resume(versions, wal=live.wal, lineage_dir=str(tmp_path))
+        cells = [(4, 4), (7, 9), (0, 13)]
+        backward = [("scale", 0), ("spot", 0), ("smooth", 0)]
+        forward = list(reversed(backward))
+        for query, path in ((resumed.backward_query, backward), (resumed.forward_query, forward)):
+            live_query = getattr(live, query.__name__)
+            want, got = live_query(cells, path), query(cells, path)
+            assert [s.method for s in got.steps] == [s.method for s in want.steps]
+            assert got.coords.tolist() == want.coords.tolist()
+        assert [s.method for s in got.steps] == ["Map", "<-FullOne", "Map"]
+        live.close()
+        resumed.close()
